@@ -7,7 +7,6 @@ from .characters import (
     char_mul,
     char_pow,
     galois_orbits,
-    make_character,
 )
 from .cyclotomic import CycNumber, absolute_norm, cyclotomic_polynomial, galois_apply, pi_element
 from .fields import (
@@ -55,7 +54,6 @@ __all__ = [
     "ideal_sqrt_of_element",
     "is_fundamental_discriminant",
     "is_principal",
-    "make_character",
     "martinet_pair",
     "minus_class_number",
     "minus_partial_product",

@@ -88,7 +88,7 @@ def crt(residues: list[int], moduli: list[int]) -> int:
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with a*u + b*v = g = gcd(a, b)."""
+    """Return (g, u, v) with a*u + b*v = g = gcd(a, b) >= 0."""
     old_r, r = a, b
     old_u, u = 1, 0
     old_v, v = 0, 1
@@ -97,6 +97,8 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_r, r = r, old_r - q * r
         old_u, u = u, old_u - q * u
         old_v, v = v, old_v - q * v
+    if old_r < 0:
+        return -old_r, -old_u, -old_v
     return old_r, old_u, old_v
 
 

@@ -25,12 +25,13 @@ class DirichletCharacter:
 
     def __init__(self, modulus: int, exponents):
         ug = unit_group(modulus)
-        exponents = tuple(e % o for e, o in zip(exponents, ug.orders))
+        exponents = tuple(exponents)
         if len(exponents) != len(ug.generators):
             raise LengthMismatch(
                 f"modulus {modulus} has {len(ug.generators)} generators, "
                 f"got {len(exponents)} exponents"
             )
+        exponents = tuple(e % o for e, o in zip(exponents, ug.orders))
         self.modulus = modulus
         self.exponents = exponents
         self.order = math.lcm(
@@ -153,10 +154,6 @@ class DirichletCharacter:
         return (chi.modulus, chi.exponents)
 
 
-def make_character(modulus: int, exponents) -> DirichletCharacter:
-    return DirichletCharacter(modulus, exponents)
-
-
 def principal_character(modulus: int = 1) -> DirichletCharacter:
     return DirichletCharacter(modulus, [0] * len(unit_group(modulus).generators))
 
@@ -169,10 +166,6 @@ def char_mul(chi: DirichletCharacter, psi: DirichletCharacter) -> DirichletChara
 
 def char_pow(chi: DirichletCharacter, k: int) -> DirichletCharacter:
     return DirichletCharacter(chi.modulus, [k * e for e in chi.exponents])
-
-
-def char_inv(chi: DirichletCharacter) -> DirichletCharacter:
-    return char_pow(chi, -1)
 
 
 def all_characters(modulus: int) -> list[DirichletCharacter]:
@@ -214,9 +207,10 @@ def decode_character(text: str) -> DirichletCharacter:
     """Inverse of DirichletCharacter.encode."""
     try:
         fpart, epart = text.split(":")
-        assert fpart.startswith("f=") and epart.startswith("e=")
+        if not (fpart.startswith("f=") and epart.startswith("e=")):
+            raise ValueError("expected f=<m>:e=<e1,...>")
         modulus = int(fpart[2:])
         exps = [int(x) for x in epart[2:].split(",")] if epart[2:] else []
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad character encoding {text!r}") from exc
     return DirichletCharacter(modulus, exps)

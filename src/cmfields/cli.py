@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import CMFieldsError
+from .errors import CMFieldsError, PreconditionViolated
 from .fieldspec import parse_field_spec
 from .fields import DEFAULT_MAX_DEGREE, cyclotomic_field
 from .hminus import minus_class_number
@@ -73,12 +73,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="batch tables over several fields")
     p.add_argument("kind", choices=("hminus", "unitindex"))
     p.add_argument("--spec", action="append", default=[])
-    p.add_argument("--zeta-range", help="A..B, all moduli != 2 mod 4 in range")
+    p.add_argument("--zeta-range", type=_zeta_range,
+                   help="A..B, all moduli != 2 mod 4 in range")
     p.add_argument("--q-override", type=int, choices=(1, 2))
     p.add_argument("--strict", action="store_true",
                    help="nonzero exit when any row errors")
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel sweep width; output order is unaffected")
     _add_format_flags(p)
     p.set_defaults(func=cmd_table)
 
@@ -167,18 +166,22 @@ def _print_csv(rows) -> None:
     sys.stdout.write(buf.getvalue())
 
 
+def _zeta_range(text: str) -> range:
+    lo, _, hi = text.partition("..")
+    try:
+        return range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
+
+
 def _table_specs(args) -> list[str]:
     specs = list(args.spec)
     if args.zeta_range:
-        lo, _, hi = args.zeta_range.partition("..")
-        for m in range(int(lo), int(hi) + 1):
-            if m % 4 != 2:
-                specs.append(f"zeta:{m}")
+        specs += [f"zeta:{m}" for m in args.zeta_range if m % 4 != 2]
     return specs
 
 
 def cmd_table(args) -> int:
-    specs = _table_specs(args)
     if args.kind == "hminus":
         worker = lambda s: _hminus_row(s, args.max_degree, args.q_override)
     else:
@@ -186,28 +189,12 @@ def cmd_table(args) -> int:
 
     rows = []
     errors = 0
-    results: dict[str, dict] = {}
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = {s: pool.submit(worker, s) for s in specs}
-        for s, fut in futures.items():
-            try:
-                results[s] = fut.result()
-            except CMFieldsError as exc:
-                results[s] = {"field": s, "error": str(exc)}
-    else:
-        for s in specs:
-            try:
-                results[s] = worker(s)
-            except CMFieldsError as exc:
-                results[s] = {"field": s, "error": str(exc)}
-    for s in specs:
-        row = results[s]
-        if "error" in row:
+    for s in _table_specs(args):
+        try:
+            rows.append(worker(s))
+        except CMFieldsError as exc:
+            rows.append({"field": s, "error": str(exc)})
             errors += 1
-        rows.append(row)
 
     if args.json:
         print(json.dumps(_jsonable(rows)))
@@ -228,8 +215,17 @@ def cmd_table(args) -> int:
     return 1 if errors and args.strict else 0
 
 
+def _verify_params(check: str, params: list[int], count: int,
+                   positive: bool = False) -> list[int]:
+    if len(params) != count:
+        raise PreconditionViolated(
+            f"verify {check} takes {count} parameters, got {len(params)}")
+    if positive and min(params) < 1:
+        raise PreconditionViolated(f"verify {check} needs positive levels, got {params}")
+    return params
+
+
 def cmd_verify(args) -> int:
-    reports = []
     check = args.check
     if check == "martinet":
         bound = args.max or 200
@@ -258,24 +254,27 @@ def cmd_verify(args) -> int:
             reports = sweep_v4(args.max or 2000)
         elif check == "metsankyla":
             reports = sweep_metsankyla(args.max or 32)
-        elif check == "counterexample":
+        else:
             reports = sweep_counterexample_family1(args.max or 200)
+    elif check == "masley":
+        m, n = _verify_params(check, args.params, 2, positive=True)
+        reports = [check_masley(m, n)]
+    elif check == "v4":
+        d1, d2 = _verify_params(check, args.params, 2)
+        reports = [check_v4(d1, d2)]
+    elif check == "metsankyla":
+        m1, m2 = _verify_params(check, args.params, 2, positive=True)
+        reports = [check_metsankyla(cyclotomic_field(m1), cyclotomic_field(m2))]
     else:
-        if check == "masley":
-            m, n = args.params
-            reports = [check_masley(m, n)]
-        elif check == "v4":
-            d1, d2 = args.params
-            reports = [check_v4(d1, d2)]
-        elif check == "metsankyla":
-            m1, m2 = args.params
-            reports = [check_metsankyla(cyclotomic_field(m1), cyclotomic_field(m2))]
-        elif check == "counterexample":
-            family, *rest = args.params
-            if family == 1:
-                reports = [check_counterexample(1, d1=rest[0], d2=rest[1])]
-            else:
-                reports = [check_counterexample(2, m=rest[0])]
+        family, *rest = args.params or [None]
+        if family == 1:
+            d1, d2 = _verify_params("counterexample 1", rest, 2)
+            reports = [check_counterexample(1, d1=d1, d2=d2)]
+        elif family == 2:
+            (m,) = _verify_params("counterexample 2", rest, 1)
+            reports = [check_counterexample(2, m=m)]
+        else:
+            raise PreconditionViolated("verify counterexample needs family 1 or 2")
 
     failed = 0
     for rep in reports:

@@ -174,29 +174,13 @@ class CycNumber:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CycNumber":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in Q(zeta)")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
-        g, u = _poly_half_xgcd(list(self.coeffs), phi)
-        # g is a nonzero constant since Phi_e is irreducible over Q
-        if len(g) != 1 or g[0] == 0:
-            raise InternalInconsistency("gcd with Phi_e not constant")
-        inv = [c / g[0] for c in u]
-        return CycNumber.from_power_coeffs(self.level, inv)
-
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError
-            return CycNumber(self.level, [a / other for a in self.coeffs])
-        other = self._coerce(other)
-        if other is None:
+        """Division by a nonzero rational."""
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return CycNumber.from_rational(self.level, other) / self
+        if other == 0:
+            raise ZeroDivisionError
+        return CycNumber(self.level, [a / other for a in self.coeffs])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -267,52 +251,3 @@ def pi_element(m: int) -> CycNumber:
     z = CycNumber.zeta(e)
     return z + CycNumber.zeta(e, e - 1) + 2
 
-
-def _poly_half_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Return (g, u) with u*a = g mod b, g = gcd(a, b) over Q[x]."""
-    r0, r1 = _poly_trim(a), _poly_trim(b)
-    u0, u1 = [Fraction(1)], [Fraction(0)]
-    while r1 != [Fraction(0)]:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-    return r0, u0
-
-
-def _poly_trim(p):
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    if db == 0:
-        return [x / b[0] for x in a], [Fraction(0)]
-    q = [Fraction(0)] * max(1, len(a) - db)
-    while len(a) - 1 >= db and a != [Fraction(0)]:
-        shift = len(a) - 1 - db
-        c = a[-1] / b[-1]
-        q[shift] = c
-        for j, y in enumerate(b):
-            a[shift + j] -= c * y
-        a = _poly_trim(a)
-    return _poly_trim(q), a

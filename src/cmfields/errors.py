@@ -47,10 +47,6 @@ class UnsupportedField(CMFieldsError):
     retry with an explicit override."""
 
 
-class UnsupportedUnitIndex(CMFieldsError):
-    pass
-
-
 class NonIntegralResult(InternalInconsistency):
     """The class number formula produced a non-integer; must abort loudly."""
 

@@ -69,9 +69,6 @@ class AbelianField:
     def is_cm(self) -> bool:
         return bool(self.odd_characters())
 
-    def is_totally_real(self) -> bool:
-        return not self.is_cm()
-
     def maximal_real_subfield(self) -> "AbelianField":
         return AbelianField([c for c in self.chars if not c.is_odd()])
 

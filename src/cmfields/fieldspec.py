@@ -89,7 +89,10 @@ def _parse_chars(text: str, pos: int, start: int) -> tuple[FieldSpec, int]:
     while True:
         if not text[pos:].startswith("f="):
             raise ParseError(text, pos, "'f='")
-        modulus, pos = _parse_int(text, pos + 2)
+        modulus, end = _parse_int(text, pos + 2)
+        if modulus < 1:
+            raise ParseError(text, pos + 2, "positive integer")
+        pos = end
         if not text[pos:].startswith(":e="):
             raise ParseError(text, pos, "':e='")
         pos += 3

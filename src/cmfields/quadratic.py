@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 
-from .arith import factorize, kronecker
+from .arith import _xgcd, factorize, kronecker
 from .errors import InternalInconsistency, NotFundamentalDiscriminant
 from .fields import is_fundamental_discriminant
 
@@ -305,20 +305,6 @@ def _hnf_2col(rows):
         m = math.gcd(m, x)
     assert m > 0
     return m, x0 % m, g
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
 
 
 def ideal_pow(I: QuadIdeal, e: int) -> QuadIdeal:

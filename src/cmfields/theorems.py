@@ -238,6 +238,7 @@ def check_counterexample(family: int, **params) -> CheckReport:
     family 2: d2 = 8m for odd m with the ramified prime above 2 of
     Q(sqrt(2m)) non-principal; K = Q(sqrt(-2m)), L = Q(i, sqrt(2m)).
     """
+    vacuous = False
     if family == 1:
         d1, d2 = params["d1"], params["d2"]
         if d1 not in (-4, -8) and not (
@@ -246,9 +247,6 @@ def check_counterexample(family: int, **params) -> CheckReport:
             raise PreconditionViolated(f"d1={d1} is not a negative prime discriminant")
         if not (d2 > 0 and is_fundamental_discriminant(d2) and math.gcd(d1, d2) == 1):
             raise PreconditionViolated(f"d2={d2} invalid for family 1")
-    vacuous = False
-    if family == 1:
-        pass
     elif family == 2:
         m = params["m"]
         if m < 1:
@@ -256,8 +254,8 @@ def check_counterexample(family: int, **params) -> CheckReport:
         # K = Q(sqrt(-2m)), L = Q(i, sqrt(2m)); normalize to the
         # fundamental discriminant of Q(sqrt(2m))
         d1 = -4
-        d2 = _fundamental_part(2 * m) if 2 * m != 1 else 0
-        if d2 in (0, 1) or not is_fundamental_discriminant(d2):
+        d2 = _fundamental_part(2 * m)
+        if d2 == 1:
             raise PreconditionViolated(f"2m = {2 * m} is a square")
         typ, t_ideal = split_prime(d2, 2)
         # the stated sufficient condition: 2 ramified with non-principal

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from cmfields.arith import (
+    _xgcd,
     crt,
     discrete_log_table,
     divisors,
@@ -87,6 +88,12 @@ def test_smallest_primitive_root():
 def test_crt():
     assert crt([1, 2], [4, 5]) == 17
     assert crt([0, 0], [3, 7]) == 0
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_xgcd_bezout_with_nonnegative_gcd(a, b):
+    g, u, v = _xgcd(a, b)
+    assert g == math.gcd(a, b) and a * u + b * v == g
 
 
 def test_divisors_and_squarefree():

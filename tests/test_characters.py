@@ -1,42 +1,49 @@
 """Dirichlet character construction, evaluation, conductor, orbits."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmfields.arith import euler_phi, unit_group
 from cmfields.characters import (
+    DirichletCharacter,
     all_characters,
-    char_inv,
     char_mul,
     char_pow,
     decode_character,
     galois_orbits,
-    make_character,
     principal_character,
 )
 from cmfields.cyclotomic import CycNumber, galois_apply
 from cmfields.errors import LengthMismatch, NotClosed
 
-CHI_M4 = make_character(4, [1])
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CHI_M4 = DirichletCharacter(4, [1])
 
 
 def test_make_character_examples():
     assert CHI_M4(3) == -1
     assert principal_character(5).order == 1
-    chi8 = make_character(8, [1, 0])
+    chi8 = DirichletCharacter(8, [1, 0])
     assert chi8(7) == -1 and chi8(5) == 1 and chi8(3) == -1
 
 
 def test_length_mismatch():
     with pytest.raises(LengthMismatch):
-        make_character(8, [1])
+        DirichletCharacter(8, [1])
+    with pytest.raises(LengthMismatch):
+        DirichletCharacter(5, [1, 2])  # extra exponents are not dropped
 
 
 def test_evaluate_examples():
     assert CHI_M4(2) == 0
-    chi = make_character(5, [1])
+    chi = DirichletCharacter(5, [1])
     assert chi(2) == CycNumber.zeta(4, 1)  # 2 is the canonical generator mod 5
     assert chi(4) == -1
 
@@ -45,7 +52,7 @@ def test_conductor_examples():
     assert principal_character(12).conductor() == 1
     lifted = CHI_M4.lift(20)
     assert lifted.conductor() == 4
-    assert make_character(5, [1]).conductor() == 5
+    assert DirichletCharacter(5, [1]).conductor() == 5
 
 
 def test_primitivize_round_trip():
@@ -58,20 +65,20 @@ def test_primitivize_round_trip():
 def test_parity_examples():
     assert principal_character(7).parity() == 1
     assert CHI_M4.parity() == -1
-    assert make_character(5, [2]).parity() == 1  # Kronecker character of Q(sqrt 5)
+    assert DirichletCharacter(5, [2]).parity() == 1  # Kronecker character of Q(sqrt 5)
 
 
 def test_group_law_examples():
     assert char_mul(CHI_M4, CHI_M4).is_principal()
-    assert char_mul(CHI_M4, char_inv(CHI_M4)).is_principal()
-    chi8 = make_character(8, [1, 0])
-    chi5 = make_character(5, [1])
+    assert char_mul(CHI_M4, char_pow(CHI_M4, -1)).is_principal()
+    chi8 = DirichletCharacter(8, [1, 0])
+    chi5 = DirichletCharacter(5, [1])
     prod = char_mul(chi8, chi5)
     assert prod.modulus == 40 and prod.order == 4
 
 
 def test_char_pow_order():
-    chi = make_character(5, [1])
+    chi = DirichletCharacter(5, [1])
     assert char_pow(chi, 2).order == 2
     assert char_pow(chi, 4).is_principal()
 
@@ -87,7 +94,7 @@ def test_galois_orbits_examples():
 
 
 def test_galois_orbits_rejects_open_sets():
-    chi = make_character(5, [1])  # order 4, conjugate chi^3 missing
+    chi = DirichletCharacter(5, [1])  # order 4, conjugate chi^3 missing
     with pytest.raises(NotClosed):
         galois_orbits([chi])
 
@@ -113,7 +120,7 @@ modest_moduli = st.sampled_from([3, 4, 5, 7, 8, 9, 12, 16, 20, 21, 40])
 def test_multiplicativity_and_periodicity(m, data):
     ug = unit_group(m)
     exps = tuple(data.draw(st.integers(min_value=0, max_value=o - 1)) for o in ug.orders)
-    chi = make_character(m, exps)
+    chi = DirichletCharacter(m, exps)
     a = data.draw(st.integers(min_value=1, max_value=3 * m))
     b = data.draw(st.integers(min_value=1, max_value=3 * m))
     assert chi(a * b) == chi(a) * chi(b)
@@ -125,7 +132,7 @@ def test_multiplicativity_and_periodicity(m, data):
 def test_conjugation_equivariance(m, data):
     ug = unit_group(m)
     exps = tuple(data.draw(st.integers(min_value=0, max_value=o - 1)) for o in ug.orders)
-    chi = make_character(m, exps)
+    chi = DirichletCharacter(m, exps)
     if chi.is_principal():
         return
     ks = [k for k in range(1, chi.order + 1) if math.gcd(k, chi.order) == 1]
@@ -158,3 +165,17 @@ def test_decode_rejects_garbage():
         decode_character("f=4")
     with pytest.raises(ValueError):
         decode_character("e=1:f=4")
+    # the same checks hold under python -O, which strips assert statements
+    script = (
+        "from cmfields.characters import decode_character\n"
+        "for text in ('x=5:y=1', 'e=1:f=4'):\n"
+        "    try:\n"
+        "        decode_character(text)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {text!r}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from cmfields.cli import main
 
@@ -90,11 +91,11 @@ def test_table_determinism(capsys):
     assert first == second
 
 
-def test_table_threads_same_output(capsys):
-    base = ("table", "hminus", "--zeta-range", "3..16", "--csv")
-    _, serial, _ = run(capsys, *base)
-    _, parallel, _ = run(capsys, *base, "--threads", "4")
-    assert serial == parallel
+def test_table_threads_option_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "hminus", "--zeta-range", "3..16", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_verify_v4(capsys):
@@ -129,6 +130,32 @@ def test_error_exit_code(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "hminus", "--field", "zeta:9999")
     assert code == 2
+    code, _, err = run(capsys, "hminus", "--field", "chars:f=5:e=1,2")
+    assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "verify v4 -4",
+    "verify masley 3",
+    "verify masley 0 3",
+    "verify metsankyla 5",
+    "verify metsankyla 3 0",
+    "verify counterexample",
+    "verify counterexample 1 -4",
+    "verify counterexample 3 1",
+    "table hminus --zeta-range abc",
+    "table hminus --zeta-range 3",
+    "hminus --field chars:f=0:e=",
+    "unit-index --field chars:f=-5:e=1",
+])
+def test_malformed_input_exits_2(capsys, argv):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip() and "Traceback" not in err
 
 
 def test_max_degree_flag(capsys):

@@ -46,13 +46,18 @@ def test_basic_arithmetic():
     pi3 = pi_element(3)
     conj = CycNumber.from_rational(8, 2) - CycNumber.zeta(8, 1) - CycNumber.zeta(8, 7)
     assert pi3 * conj == 2
+
+
+def test_division_by_rationals_only():
     x = CycNumber.from_rational(5, 1) + CycNumber.zeta(5, 1)
-    assert x / x == 1
-
-
-def test_division_by_zero():
+    assert x / 2 * 2 == x
+    assert x / Fraction(2, 3) == x * Fraction(3, 2)
     with pytest.raises(ZeroDivisionError):
-        CycNumber.zeta(4, 1) / CycNumber.from_rational(4, 0)
+        x / 0
+    with pytest.raises(TypeError):
+        x / x
+    with pytest.raises(TypeError):
+        1 / x
 
 
 def test_rational_comparison():

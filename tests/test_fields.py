@@ -5,7 +5,7 @@ import math
 import pytest
 
 from cmfields.arith import euler_phi
-from cmfields.characters import make_character, principal_character
+from cmfields.characters import DirichletCharacter, principal_character
 from cmfields.errors import DegreeBoundExceeded, NotFundamentalDiscriminant
 from cmfields.fields import (
     AbelianField,
@@ -19,8 +19,8 @@ from cmfields.fields import (
 
 
 def test_field_from_generators_examples():
-    assert field_from_generators([make_character(4, [1])]).degree == 2
-    big = field_from_generators([make_character(4, [1]), make_character(5, [1])])
+    assert field_from_generators([DirichletCharacter(4, [1])]).degree == 2
+    big = field_from_generators([DirichletCharacter(4, [1]), DirichletCharacter(5, [1])])
     assert big == cyclotomic_field(20)
     assert big.degree == 8
     assert field_from_generators([principal_character(1)]) == rational_field()
@@ -28,7 +28,7 @@ def test_field_from_generators_examples():
 
 def test_degree_bound():
     with pytest.raises(DegreeBoundExceeded):
-        field_from_generators([make_character(5, [1])], max_degree=3)
+        field_from_generators([DirichletCharacter(5, [1])], max_degree=3)
     with pytest.raises(DegreeBoundExceeded):
         cyclotomic_field(101, max_degree=64)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmfields.characters import all_characters, make_character
+from cmfields.characters import DirichletCharacter, all_characters
 from cmfields.cyclotomic import galois_apply
 from cmfields.errors import EvenCharacter, NotClosed, PrincipalCharacter
 from cmfields.fields import cyclotomic_field, is_fundamental_discriminant, quadratic_field
@@ -19,23 +19,23 @@ from cmfields.quadratic import class_number
 
 
 def test_bernoulli_examples():
-    assert bernoulli_b1(make_character(4, [1])) == Fraction(-1, 2)
-    assert bernoulli_b1(make_character(3, [1])) == Fraction(-1, 3)
+    assert bernoulli_b1(DirichletCharacter(4, [1])) == Fraction(-1, 2)
+    assert bernoulli_b1(DirichletCharacter(3, [1])) == Fraction(-1, 3)
     chi23 = [c for c in all_characters(23) if c.order == 2][0]
     assert bernoulli_b1(chi23) == -3  # equals -h(-23)
 
 
 def test_bernoulli_rejects_wrong_parity():
     with pytest.raises(PrincipalCharacter):
-        bernoulli_b1(make_character(5, [0]))
+        bernoulli_b1(DirichletCharacter(5, [0]))
     with pytest.raises(EvenCharacter):
-        bernoulli_b1(make_character(5, [2]))
+        bernoulli_b1(DirichletCharacter(5, [2]))
 
 
 def test_primitivize_then_sum():
     # an imprimitive character must be summed over its conductor: the
     # lift of chi_{-4} to modulus 20 has the same B as chi_{-4} itself
-    chi = make_character(4, [1])
+    chi = DirichletCharacter(4, [1])
     assert bernoulli_b1(chi.lift(20)) == bernoulli_b1(chi)
     assert bernoulli_b1(chi.lift(12)) == Fraction(-1, 2)
 
@@ -111,13 +111,13 @@ def test_partial_product_examples():
 
 def test_partial_product_rejects_bad_sets():
     with pytest.raises(EvenCharacter):
-        minus_partial_product([make_character(5, [2])])
+        minus_partial_product([DirichletCharacter(5, [2])])
     with pytest.raises(NotClosed):
-        minus_partial_product([make_character(5, [1])])
+        minus_partial_product([DirichletCharacter(5, [1])])
 
 
 def test_orbit_factor_is_norm_of_single_factor():
-    chi = make_character(5, [1])
+    chi = DirichletCharacter(5, [1])
     b = bernoulli_b1(chi)
     from cmfields.characters import char_pow
     from cmfields.cyclotomic import absolute_norm

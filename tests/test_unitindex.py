@@ -200,10 +200,10 @@ def test_martinet_pairs():
 def test_unsupported_field_raises():
     # cyclic quartic CM of conductor 65: not cyclotomic, conductor not a
     # prime power, not decomposable, not of exponent 2 -> no rule applies
-    from cmfields.characters import char_mul, make_character
+    from cmfields.characters import DirichletCharacter, char_mul
     from cmfields.fields import field_from_generators
 
-    chi = char_mul(make_character(5, [1]), make_character(13, [6]))
+    chi = char_mul(DirichletCharacter(5, [1]), DirichletCharacter(13, [6]))
     K = field_from_generators([chi])
     assert K.degree == 4 and K.is_cm() and K.conductor == 65
     assert K.prime_power_decomposition() is None
