@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 
-from .arith import discrete_log_table, divisors, unit_group
+from .arith import discrete_log_table, unit_group
 from .cyclotomic import CycNumber
-from .errors import LengthMismatch, NotClosed
+from .errors import InternalInconsistency, LengthMismatch, NotClosed
 
 
 class DirichletCharacter:
@@ -93,17 +93,31 @@ class DirichletCharacter:
     # -- conductor and primitivization -----------------------------------
 
     def conductor(self) -> int:
-        """Smallest f | m such that chi factors through (Z/fZ)*."""
+        """Smallest f | m such that chi factors through (Z/fZ)*.
+
+        Read off the exponent vector one prime-power block of (Z/mZ)* at a
+        time (Washington, Introduction to Cyclotomic Fields, Ch. 3).  Odd
+        p^k: a component of order o > 1 has conductor p^(1 + v_p(o)).
+        Powers of 2: a nonzero exponent on -1 (3 mod 4) needs 4, and an
+        exponent of order 2^j >= 2 on 5 needs 2^(j + 2).
+        """
         if self._conductor is None:
-            m = self.modulus
-            for f in divisors(m):
-                if all(
-                    self.value_exponent(a) == 0
-                    for a in range(1, m + 1)
-                    if a % f == 1 % f and math.gcd(a, m) == 1
-                ):
-                    self._conductor = f
-                    break
+            ug = unit_group(self.modulus)
+            f = 1
+            for e, g, o, q in zip(self.exponents, ug.generators, ug.orders,
+                                  ug.blocks):
+                if e == 0:
+                    continue
+                order = o // math.gcd(o, e)
+                if q % 2:
+                    # o = (p - 1) p^(k-1), so gcd(o, q) = p^(k-1) and
+                    # gcd(order, q) = p^v_p(order)
+                    f = math.lcm(f, q // math.gcd(o, q) * math.gcd(order, q))
+                elif g % q == q - 1:
+                    f = math.lcm(f, 4)
+                else:
+                    f = math.lcm(f, 4 * order)
+            self._conductor = f
         return self._conductor
 
     def primitivize(self) -> "DirichletCharacter":
@@ -130,7 +144,10 @@ class DirichletCharacter:
             t = self.value_exponent(a)
             exps.append(t * o // self.order)
         chi = DirichletCharacter(f, exps)
-        assert chi.order == self.order
+        if chi.order != self.order:
+            raise InternalInconsistency(
+                f"{self.encode()} restricted to modulus {f} has order "
+                f"{chi.order}, not {self.order}")
         return chi
 
     def lift(self, big_modulus: int) -> "DirichletCharacter":

@@ -19,6 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .arith import is_prime
 from .errors import CMFieldsError, PreconditionViolated
 from .fieldspec import parse_field_spec
 from .fields import DEFAULT_MAX_DEGREE, cyclotomic_field
@@ -225,19 +226,28 @@ def _verify_params(check: str, params: list[int], count: int,
     return params
 
 
+def _sweep_bound(args, default: int) -> int:
+    if args.max is None:
+        return default
+    if args.max < 1:
+        raise PreconditionViolated(f"--max must be at least 1, got {args.max}")
+    return args.max
+
+
 def cmd_verify(args) -> int:
     check = args.check
     if check == "martinet":
-        bound = args.max or 200
-        primes = [p for p in (args.params or range(2, bound + 1))]
+        if args.params:
+            for p in args.params:
+                if p % 8 != 1 or not is_prime(p):
+                    raise PreconditionViolated(
+                        f"verify martinet needs primes = 1 mod 8, got {p}")
+            primes = args.params
+        else:
+            bound = _sweep_bound(args, 200)
+            primes = [p for p in range(2, bound + 1) if p % 8 == 1 and is_prime(p)]
         out = []
         for p in primes:
-            if p % 8 != 1:
-                continue
-            from .arith import is_prime
-
-            if not is_prime(p):
-                continue
             rep = martinet_pair(p)
             out.append(rep)
             status = "skip (norm -1)" if rep.unit_norm == -1 else "pass"
@@ -249,13 +259,13 @@ def cmd_verify(args) -> int:
 
     if args.sweep:
         if check == "masley":
-            reports = sweep_masley(args.max or 60)
+            reports = sweep_masley(_sweep_bound(args, 60))
         elif check == "v4":
-            reports = sweep_v4(args.max or 2000)
+            reports = sweep_v4(_sweep_bound(args, 2000))
         elif check == "metsankyla":
-            reports = sweep_metsankyla(args.max or 32)
+            reports = sweep_metsankyla(_sweep_bound(args, 32))
         else:
-            reports = sweep_counterexample_family1(args.max or 200)
+            reports = sweep_counterexample_family1(_sweep_bound(args, 200))
     elif check == "masley":
         m, n = _verify_params(check, args.params, 2, positive=True)
         reports = [check_masley(m, n)]

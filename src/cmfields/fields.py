@@ -8,14 +8,20 @@ from __future__ import annotations
 
 import math
 
-from .arith import divisors, euler_phi, factorize, is_squarefree, kronecker, unit_group
+from .arith import euler_phi, factorize, is_squarefree, kronecker, unit_group
 from .characters import (
     DirichletCharacter,
     all_characters,
     char_mul,
     principal_character,
 )
-from .errors import DegreeBoundExceeded, NotCMField, NotFundamentalDiscriminant
+from .errors import (
+    DegreeBoundExceeded,
+    InternalInconsistency,
+    NotCMField,
+    NotFundamentalDiscriminant,
+    PreconditionViolated,
+)
 
 DEFAULT_MAX_DEGREE = 256
 
@@ -39,7 +45,10 @@ class AbelianField:
         if not chars:
             raise ValueError("empty character set")
         modulus = chars[0].modulus
-        assert all(c.modulus == modulus for c in chars)
+        if any(c.modulus != modulus for c in chars):
+            raise PreconditionViolated(
+                "characters of a field must share one modulus, got "
+                f"{sorted({c.modulus for c in chars})}")
         self.chars = chars
         self.modulus = modulus
         self.conductor = math.lcm(1, *(c.conductor() for c in chars))
@@ -73,14 +82,21 @@ class AbelianField:
         return AbelianField([c for c in self.chars if not c.is_odd()])
 
     def roots_of_unity_order(self) -> int:
-        """w, the order of the group of roots of unity in the field."""
-        best = 1
-        for n in divisors(2 * self.conductor):
-            if n % 4 == 2 or n <= best:
-                continue
-            if all(self.contains_character(chi) for chi in all_characters(n)):
-                best = n
-        return best if best % 2 == 0 else 2 * best
+        """w, the order of the group of roots of unity in the field.
+
+        Q(zeta_n) is the compositum of its prime-power layers Q(zeta_q), so
+        w is the product over p | 2 * conductor of the largest p^j with
+        Q(zeta_(p^j)) inside the field.  Q(zeta_2) = Q: the 2-part is >= 2.
+        """
+        w = 1
+        for p, e in factorize(2 * self.conductor):
+            q = 1
+            while q < p**e and all(
+                self.contains_character(chi) for chi in _dual_generators(q * p)
+            ):
+                q *= p
+            w *= q
+        return w
 
     # -- lattice ops -----------------------------------------------------
 
@@ -132,6 +148,14 @@ class AbelianField:
                 f = c.conductor()
                 out.append(f if c.parity() == 1 else -f)
         return sorted(out, key=abs)
+
+
+def _dual_generators(q: int) -> list[DirichletCharacter]:
+    """Generators of the character group mod q: chi_i(g_j) = zeta^[i == j]
+    on the canonical generators g_j of (Z/qZ)*."""
+    k = len(unit_group(q).generators)
+    return [DirichletCharacter(q, [int(i == j) for j in range(k)])
+            for i in range(k)]
 
 
 def _prime_power_components(chi: DirichletCharacter):
@@ -210,15 +234,15 @@ def quadratic_field(d: int) -> AbelianField:
     exps = []
     for g, o in zip(ug.generators, ug.orders):
         s = kronecker(d, g)
-        assert s != 0
-        if s == 1:
-            exps.append(0)
-        else:
-            assert o % 2 == 0
-            exps.append(o // 2)
+        if s == 0 or (s == -1 and o % 2):
+            raise InternalInconsistency(
+                f"({d}/{g}) = {s} on a generator of order {o}")
+        exps.append(0 if s == 1 else o // 2)
     chi = DirichletCharacter(m, exps)
-    assert chi.conductor() == m
-    assert chi.parity() == (1 if d > 0 else -1)
+    if chi.conductor() != m or chi.parity() != (1 if d > 0 else -1):
+        raise InternalInconsistency(
+            f"Kronecker character of {d} has conductor {chi.conductor()} "
+            f"and parity {chi.parity()}")
     return AbelianField([principal_character(m), chi])
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmfields.arith import euler_phi, unit_group
+from cmfields.arith import divisors, euler_phi, unit_group
 from cmfields.characters import (
     DirichletCharacter,
     all_characters,
@@ -53,6 +53,24 @@ def test_conductor_examples():
     lifted = CHI_M4.lift(20)
     assert lifted.conductor() == 4
     assert DirichletCharacter(5, [1]).conductor() == 5
+
+
+def _conductor_by_scan(chi):
+    """Smallest f | m with chi trivial on every unit a = 1 mod f."""
+    m = chi.modulus
+    for f in divisors(m):
+        if all(
+            chi.value_exponent(a) == 0
+            for a in range(1, m + 1)
+            if a % f == 1 % f and math.gcd(a, m) == 1
+        ):
+            return f
+
+
+def test_conductor_matches_scan():
+    for m in range(1, 200):
+        for chi in all_characters(m):
+            assert chi.conductor() == _conductor_by_scan(chi), chi
 
 
 def test_primitivize_round_trip():

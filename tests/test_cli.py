@@ -125,6 +125,24 @@ def test_verify_martinet(capsys):
     assert "skip (norm -1)" in out  # p = 41
 
 
+def test_verify_martinet_rejects_bad_parameters(capsys):
+    code, out, err = run(capsys, "verify", "martinet", "17", "7")
+    assert code == 2 and out == ""
+    assert "got 7" in err
+    code, out, _ = run(capsys, "verify", "martinet", "17", "41")
+    assert code == 0
+    assert out.splitlines()[0].startswith("[pass] martinet p=17")
+    assert out.splitlines()[1].startswith("[skip (norm -1)] martinet p=41")
+
+
+def test_verify_sweep_max_one(capsys):
+    for check in ("masley", "v4", "metsankyla", "counterexample"):
+        code, _, err = run(capsys, "verify", check, "--sweep", "--max", "1")
+        assert code in (0, 1) and err == "", check
+    code, out, _ = run(capsys, "verify", "martinet", "--max", "1")
+    assert code == 0 and out == ""
+
+
 def test_error_exit_code(capsys):
     code, _, err = run(capsys, "hminus", "--field", "quad:5")
     assert code == 2 and "error:" in err
@@ -147,6 +165,14 @@ def test_error_exit_code(capsys):
     "table hminus --zeta-range 3",
     "hminus --field chars:f=0:e=",
     "unit-index --field chars:f=-5:e=1",
+    "verify martinet --max 0",
+    "verify masley --sweep --max 0",
+    "verify v4 --sweep --max 0",
+    "verify metsankyla --sweep --max -1",
+    "verify counterexample --sweep --max 0",
+    "verify martinet 7",
+    "verify martinet 25",
+    "verify martinet 17 9",
 ])
 def test_malformed_input_exits_2(capsys, argv):
     try:

@@ -1,12 +1,20 @@
 """Abelian fields as character groups: lattice ops and CM attributes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cmfields.arith import euler_phi
-from cmfields.characters import DirichletCharacter, principal_character
-from cmfields.errors import DegreeBoundExceeded, NotFundamentalDiscriminant
+from cmfields.arith import divisors, euler_phi
+from cmfields.characters import DirichletCharacter, all_characters, principal_character
+from cmfields.errors import (
+    DegreeBoundExceeded,
+    NotFundamentalDiscriminant,
+    PreconditionViolated,
+)
 from cmfields.fields import (
     AbelianField,
     cyclotomic_field,
@@ -16,6 +24,8 @@ from cmfields.fields import (
     quadratic_field,
     rational_field,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_field_from_generators_examples():
@@ -100,6 +110,39 @@ def test_roots_of_unity_cyclotomic_exhaustive():
         assert cyclotomic_field(m).roots_of_unity_order() == expected
 
 
+def _w_by_scan(K):
+    """Largest n | 2 * conductor with every character mod n in K, made even.
+    Q(zeta_n) has phi(n) characters, so n with phi(n) > degree is skipped."""
+    best = 1
+    for n in divisors(2 * K.conductor):
+        if n % 4 == 2 or n <= best or euler_phi(n) > K.degree:
+            continue
+        if all(K.contains_character(chi) for chi in all_characters(n)):
+            best = n
+    return best if best % 2 == 0 else 2 * best
+
+
+def test_roots_of_unity_matches_scan():
+    discs = [d for d in range(-3000, 3001) if is_fundamental_discriminant(d)]
+    fields = [
+        quadratic_field(d1).compositum(quadratic_field(d2))
+        for d1 in discs for d2 in discs
+        if d1 < d2 and abs(d1 * d2) <= 3000
+    ]
+    fields += [cyclotomic_field(m) for m in range(1, 80) if m % 4 != 2]
+    fields += [
+        quadratic_field(-4).compositum(quadratic_field(5)),
+        cyclotomic_field(3).compositum(quadratic_field(-4)),
+        cyclotomic_field(5).compositum(quadratic_field(-3)),
+        cyclotomic_field(8).compositum(quadratic_field(5)),
+        cyclotomic_field(9).compositum(quadratic_field(-4)),
+        cyclotomic_field(16).compositum(quadratic_field(-3)),
+        cyclotomic_field(7).maximal_real_subfield().compositum(quadratic_field(-8)),
+    ]
+    for K in fields:
+        assert K.roots_of_unity_order() == _w_by_scan(K), K
+
+
 def test_compositum_and_intersection():
     qi = quadratic_field(-4)
     s5 = quadratic_field(5)
@@ -168,3 +211,24 @@ def test_equality_is_modulus_independent():
 def test_degree_matches_phi_for_cyclotomic():
     for m in (1, 3, 4, 8, 9, 15, 16, 40):
         assert cyclotomic_field(m).degree == euler_phi(normalize_cyclotomic_modulus(m))
+
+
+def test_mixed_moduli_rejected():
+    chars = [principal_character(4), DirichletCharacter(5, [2])]
+    with pytest.raises(PreconditionViolated):
+        AbelianField(chars)
+    # the check holds under python -O, which strips assert statements
+    script = (
+        "from cmfields.characters import DirichletCharacter, principal_character\n"
+        "from cmfields.errors import PreconditionViolated\n"
+        "from cmfields.fields import AbelianField\n"
+        "try:\n"
+        "    AbelianField([principal_character(4), DirichletCharacter(5, [2])])\n"
+        "except PreconditionViolated:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('mixed moduli accepted')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -88,8 +88,12 @@ def test_integrality_small_conductors():
 
 
 def test_known_cyclotomic_values():
-    # first nontrivial minus class numbers of prime cyclotomic fields
-    known = {23: 3, 29: 8, 31: 9, 37: 37, 39: 2, 40: 1, 41: 121, 43: 211}
+    # first nontrivial minus class numbers of prime cyclotomic fields, and
+    # h-(Q(zeta_p)) for the primes p < 100 from Washington's table
+    known = {23: 3, 29: 8, 31: 9, 37: 37, 39: 2, 40: 1, 41: 121, 43: 211,
+             47: 695, 53: 4889, 59: 41241, 61: 76301, 67: 853513,
+             71: 3882809, 73: 11957417, 79: 100146415, 83: 838216959,
+             89: 13379363737, 97: 411322824001}
     for m, h in known.items():
         assert minus_class_number(cyclotomic_field(m)).h_minus == h, m
 
