@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InternalInconsistency, PreconditionViolated
+
 Rational = Fraction
 
 
@@ -81,7 +83,8 @@ def crt(residues: list[int], moduli: list[int]) -> int:
     x, m = 0, 1
     for r, mi in zip(residues, moduli):
         g, inv, _ = _xgcd(m, mi)
-        assert g == 1
+        if g != 1:
+            raise PreconditionViolated(f"moduli {moduli} are not pairwise coprime")
         x = (x + (r - x) * inv % mi * m) % (m * mi)
         m *= mi
     return x
@@ -204,5 +207,7 @@ def discrete_log_table(m: int) -> dict[int, tuple[int, ...]]:
                 new = list(vec)
                 new[i] = k
                 table[res * acc % m] = tuple(new)
-    assert len(table) == euler_phi(m)
+    if len(table) != euler_phi(m):
+        raise InternalInconsistency(
+            f"{len(table)} discrete logs mod {m}, expected {euler_phi(m)}")
     return table

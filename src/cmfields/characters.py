@@ -11,7 +11,7 @@ import math
 
 from .arith import discrete_log_table, unit_group
 from .cyclotomic import CycNumber
-from .errors import InternalInconsistency, LengthMismatch, NotClosed
+from .errors import LengthMismatch, NotClosed
 
 
 class DirichletCharacter:
@@ -83,9 +83,15 @@ class DirichletCharacter:
         return CycNumber.zeta(self.order, t)
 
     def parity(self) -> int:
-        """chi(-1); -1 means odd."""
-        t = self.value_exponent(self.modulus - 1 if self.modulus > 1 else 0)
-        return 1 if t == 0 else -1
+        """chi(-1); -1 means odd.
+
+        -1 is g^(o/2) for the generator g of an odd block and is the
+        generator -1 (3 mod 4) of a 2-power block, so chi(-1) = (-1)^s with
+        s the sum of the exponents on those generators."""
+        ug = unit_group(self.modulus)
+        s = sum(e for e, g, q in zip(self.exponents, ug.generators, ug.blocks)
+                if q % 2 or g % 4 == 3)
+        return -1 if s % 2 else 1
 
     def is_odd(self) -> bool:
         return self.parity() == -1
@@ -122,48 +128,38 @@ class DirichletCharacter:
 
     def primitivize(self) -> "DirichletCharacter":
         """The primitive character mod conductor inducing chi."""
-        f = self.conductor()
+        return self.at_modulus(self.conductor())
+
+    def at_modulus(self, f: int) -> "DirichletCharacter":
+        """chi viewed at any modulus f that its conductor divides.
+
+        Each prime-power block maps on its own.  The exponent on a generator
+        of order o at p^k goes to the matching generator of order o' at p^c
+        (the generator itself on an odd block; -1 or 5 on a 2-power block),
+        times o'/o, which is exact because the conductor divides f, and
+        times d with g' = g^d mod p^min(k, c).  d = 1 unless the smallest
+        primitive roots mod p and mod p^2 differ, as for p = 40487.
+        """
         if f == self.modulus:
             return self
-        return self.restrict(f)
-
-    def restrict(self, f: int) -> "DirichletCharacter":
-        """View chi at a modulus f the conductor divides (f | m)."""
-        m = self.modulus
-        if m % f:
-            raise ValueError(f"{f} does not divide modulus {m}")
         if f % self.conductor():
             raise ValueError(f"conductor {self.conductor()} does not divide {f}")
-        ug_f = unit_group(f)
+        src = unit_group(self.modulus)
+        dst = unit_group(f)
         exps = []
-        for g, o in zip(ug_f.generators, ug_f.orders):
-            # pick a representative of g mod f that is coprime to m
-            a = g
-            while math.gcd(a, m) != 1:
-                a += f
-            t = self.value_exponent(a)
-            exps.append(t * o // self.order)
-        chi = DirichletCharacter(f, exps)
-        if chi.order != self.order:
-            raise InternalInconsistency(
-                f"{self.encode()} restricted to modulus {f} has order "
-                f"{chi.order}, not {self.order}")
-        return chi
-
-    def lift(self, big_modulus: int) -> "DirichletCharacter":
-        """The character mod M (m | M) induced by chi."""
-        m = self.modulus
-        if big_modulus % m:
-            raise ValueError(f"{m} does not divide {big_modulus}")
-        if big_modulus == m:
-            return self
-        ug = unit_group(big_modulus)
-        exps = []
-        for g, o in zip(ug.generators, ug.orders):
-            t = self.value_exponent(g % m)
-            exps.append(t * o // self.order)
-        chi = DirichletCharacter(big_modulus, exps)
-        return chi
+        for g, o, q in zip(dst.generators, dst.orders, dst.blocks):
+            t = 0
+            for e, g0, o0, q0 in zip(self.exponents, src.generators,
+                                     src.orders, src.blocks):
+                n = math.gcd(q, q0)
+                if e == 0 or n == 1 or (q % 2 == 0 and g % 4 != g0 % 4):
+                    continue
+                t = e * o // o0
+                if g % n != g0 % n:
+                    log = discrete_log_table(n)
+                    t *= log[g % n][0] * pow(log[g0 % n][0], -1, len(log))
+            exps.append(t)
+        return DirichletCharacter(f, exps)
 
     def primitive_key(self) -> tuple[int, tuple[int, ...]]:
         """Modulus-independent identity: (conductor, primitive exponents)."""
@@ -177,7 +173,7 @@ def principal_character(modulus: int = 1) -> DirichletCharacter:
 
 def char_mul(chi: DirichletCharacter, psi: DirichletCharacter) -> DirichletCharacter:
     m = math.lcm(chi.modulus, psi.modulus)
-    a, b = chi.lift(m), psi.lift(m)
+    a, b = chi.at_modulus(m), psi.at_modulus(m)
     return DirichletCharacter(m, [x + y for x, y in zip(a.exponents, b.exponents)])
 
 

@@ -268,13 +268,14 @@ def cmd_verify(args) -> int:
             reports = sweep_counterexample_family1(_sweep_bound(args, 200))
     elif check == "masley":
         m, n = _verify_params(check, args.params, 2, positive=True)
-        reports = [check_masley(m, n)]
+        reports = [check_masley(m, n, args.max_degree)]
     elif check == "v4":
         d1, d2 = _verify_params(check, args.params, 2)
         reports = [check_v4(d1, d2)]
     elif check == "metsankyla":
         m1, m2 = _verify_params(check, args.params, 2, positive=True)
-        reports = [check_metsankyla(cyclotomic_field(m1), cyclotomic_field(m2))]
+        fields = [cyclotomic_field(m, args.max_degree) for m in (m1, m2)]
+        reports = [check_metsankyla(*fields, max_degree=args.max_degree)]
     else:
         family, *rest = args.params or [None]
         if family == 1:

@@ -29,7 +29,8 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (e - 1) + [1]  # x^e - 1
     for d in divisors(e)[:-1]:
         poly = _int_poly_div_exact(poly, cyclotomic_polynomial(d))
-    assert len(poly) == euler_phi(e) + 1 and poly[-1] == 1
+    if len(poly) != euler_phi(e) + 1 or poly[-1] != 1:
+        raise InternalInconsistency(f"Phi_{e} is not monic of degree phi({e})")
     return tuple(poly)
 
 

@@ -111,7 +111,7 @@ class AbelianField:
         shared = self._prim_keys & other._prim_keys
         chars = [c for c in self.chars if c.primitive_key() in shared]
         m = math.lcm(1, *(c.conductor() for c in chars))
-        return AbelianField([c.primitivize().lift(m) for c in chars])
+        return AbelianField([c.at_modulus(m) for c in chars])
 
     def prime_power_decomposition(self):
         """Split into fields of prime-power conductor when the character
@@ -120,14 +120,14 @@ class AbelianField:
         trivial = principal_character(1).primitive_key()
         parts = {p: {trivial} for p, _ in factorize(self.conductor)}
         for chi in self.chars:
-            for p, comp in _prime_power_components(chi):
-                parts[p].add(comp.primitive_key())
+            for p, key in _prime_power_components(chi):
+                parts[p].add(key)
         total = 1
         components = []
         for p in sorted(parts):
             keys = parts[p]
             m = math.lcm(1, *(k[0] for k in keys))
-            comp_chars = [DirichletCharacter(f, e).lift(m) for f, e in keys]
+            comp_chars = [DirichletCharacter(f, e).at_modulus(m) for f, e in keys]
             total *= len(comp_chars)
             components.append(AbelianField(comp_chars))
         if total != self.degree:
@@ -159,19 +159,15 @@ def _dual_generators(q: int) -> list[DirichletCharacter]:
 
 
 def _prime_power_components(chi: DirichletCharacter):
-    """chi as a product of characters of prime-power modulus, one per
-    prime dividing its conductor."""
+    """chi as a product of primitive characters of prime-power modulus, one
+    per prime p dividing its conductor, as (p, primitive key) pairs: the
+    block slices of the primitive exponent vector."""
     chi = chi.primitivize()
-    m = chi.modulus
-    if m == 1:
-        return []
-    ug = unit_group(m)
+    blocks = unit_group(chi.modulus).blocks
     out = []
-    for q in sorted(set(ug.blocks)):
-        exps = [e if b == q else 0 for e, b in zip(chi.exponents, ug.blocks)]
-        comp = DirichletCharacter(m, exps).primitivize()
-        p = factorize(q)[0][0]
-        out.append((p, comp))
+    for p, k in factorize(chi.modulus):
+        exps = tuple(e for e, b in zip(chi.exponents, blocks) if b == p**k)
+        out.append((p, (p**k, exps)))
     return out
 
 
@@ -183,22 +179,17 @@ def field_from_generators(
     if not gens:
         raise ValueError("need at least one generator")
     m = normalize_cyclotomic_modulus(math.lcm(1, *(g.conductor() for g in gens)))
-    gens = [g.primitivize().lift(m) for g in gens]
     group = {principal_character(m)}
-    frontier = list(group)
-    while frontier:
-        nxt = []
-        for g in gens:
-            for c in frontier:
-                prod = char_mul(g, c)
-                if prod not in group:
-                    group.add(prod)
-                    nxt.append(prod)
-                    if len(group) > max_degree:
-                        raise DegreeBoundExceeded(
-                            f"degree exceeds bound {max_degree}"
-                        )
-        frontier = nxt
+    for g in gens:
+        # group * <g> is the union of the cosets g^k * group, up to the
+        # first power of g that is already in the group
+        g = g.at_modulus(m)
+        base, power = list(group), g
+        while power not in group:
+            if len(group) + len(base) > max_degree:
+                raise DegreeBoundExceeded(f"degree exceeds bound {max_degree}")
+            group.update(char_mul(power, c) for c in base)
+            power = char_mul(power, g)
     return AbelianField(group)
 
 

@@ -13,7 +13,11 @@ from enum import Enum
 from math import isqrt
 
 from .arith import _xgcd, factorize, kronecker
-from .errors import InternalInconsistency, NotFundamentalDiscriminant
+from .errors import (
+    InternalInconsistency,
+    NotFundamentalDiscriminant,
+    PreconditionViolated,
+)
 from .fields import is_fundamental_discriminant
 
 
@@ -137,7 +141,8 @@ def form_cycle(f: QuadForm) -> list[QuadForm]:
 def reduced_forms(D: int) -> list[QuadForm]:
     """All reduced forms of fundamental discriminant D < 0."""
     _require_fundamental(D)
-    assert D < 0
+    if D >= 0:
+        raise PreconditionViolated(f"reduced_forms needs D < 0, got {D}")
     out = []
     amax = isqrt(-D // 3)
     for a in range(1, amax + 1):
@@ -153,7 +158,8 @@ def reduced_forms(D: int) -> list[QuadForm]:
 
 def reduced_indefinite_forms(D: int) -> list[QuadForm]:
     _require_fundamental(D)
-    assert D > 0
+    if D <= 0:
+        raise PreconditionViolated(f"indefinite forms need D > 0, got {D}")
     s = isqrt(D)
     out = []
     for b in range(1, s + 1):
@@ -191,9 +197,10 @@ def class_number(D: int, narrow: bool = False) -> int:
 
 
 def surd_continued_fraction(P: int, Q: int, d: int) -> tuple[list[int], int]:
-    """Continued fraction of (P + sqrt(d))/Q; returns (periodic part start
-    omitted) nothing fancy: the full expansion until the first repeated
-    state, and the period length."""
+    """Continued fraction of (P + sqrt(d))/Q.
+
+    Returns (terms, period): the partial quotients up to the first repeated
+    state (P, Q), and the length of the period they end with."""
     s = isqrt(d)
     seen: dict[tuple[int, int], int] = {}
     terms = []
@@ -212,7 +219,8 @@ def fundamental_unit_norm(D: int) -> int:
     """Norm (+1 or -1) of the fundamental unit, by the parity of the
     continued fraction period of the standard quadratic surd."""
     _require_fundamental(D)
-    assert D > 0
+    if D <= 0:
+        raise PreconditionViolated(f"fundamental_unit_norm needs D > 0, got {D}")
     if D % 4 == 1:
         _, period = surd_continued_fraction(1, 2, D)
     else:
@@ -239,8 +247,9 @@ class QuadIdeal:
     b: int
 
     def __post_init__(self):
-        assert self.a > 0
-        assert (self.b * self.b - self.D) % (4 * self.a) == 0
+        if self.a <= 0 or (self.b * self.b - self.D) % (4 * self.a):
+            raise PreconditionViolated(
+                f"({self.a}, {self.b}) is not an ideal of discriminant {self.D}")
 
     def normalized(self) -> "QuadIdeal":
         return QuadIdeal(self.D, self.a, self.b % (2 * self.a))
@@ -262,7 +271,8 @@ def ideal_from_form(f: QuadForm) -> QuadIdeal:
 def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
     """Primitive part of the product ideal (any rational content is a
     principal factor and is dropped)."""
-    assert I.D == J.D
+    if I.D != J.D:
+        raise PreconditionViolated(f"ideals of discriminants {I.D} and {J.D}")
     D = I.D
     # generators of the product as rows (x, y) meaning (x + y sqrt(D))/2
     rows = [
@@ -275,7 +285,8 @@ def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
     if x0 % g or m % g:
         raise InternalInconsistency("product module not a multiple of its content")
     m, x0 = m // g, x0 // g
-    assert m % 2 == 0
+    if m % 2:
+        raise InternalInconsistency(f"product ideal of odd index {m}")
     return QuadIdeal(D, m // 2, x0 % m)
 
 
@@ -303,7 +314,8 @@ def _hnf_2col(rows):
     m = 0
     for x in xs:
         m = math.gcd(m, x)
-    assert m > 0
+    if m == 0:
+        raise InternalInconsistency("ideal lattice is not of rank 2")
     return m, x0 % m, g
 
 

@@ -15,6 +15,7 @@ from .arith import factorize
 from .errors import (
     DegreeBoundExceeded,
     EvenIndex,
+    InternalInconsistency,
     NotFundamentalDiscriminant,
     NotPrimePowerConductors,
     NotSubfield,
@@ -121,7 +122,8 @@ def check_v4(d1: int, d2: int) -> CheckReport:
     if not (d1 < 0 and d2 < 0 and d1 != d2):
         raise NotV4CM("need two distinct negative fundamental discriminants")
     L = quadratic_field(d1).compositum(quadratic_field(d2))
-    assert L.degree == 4
+    if L.degree != 4:
+        raise InternalInconsistency(f"Q(sqrt {d1}, sqrt {d2}) has degree {L.degree}")
     report = minus_class_number(L)
     lhs = Fraction(report.h_minus)
     h1 = class_number(d1)
@@ -151,7 +153,7 @@ def check_v4(d1: int, d2: int) -> CheckReport:
 def derived_kuroda_q(d1: int, d2: int) -> Fraction:
     """The (2,2)-extension unit index q(L) = 2 Q(L) w_L / (Q1 Q2 w1 w2)
     over the rational base field, reported as a derived value and
-    range-asserted to lie in {1, 2, 4}."""
+    checked to lie in {1, 2, 4}."""
     for d in (d1, d2):
         if not is_fundamental_discriminant(d):
             raise NotFundamentalDiscriminant(str(d))
@@ -165,7 +167,8 @@ def derived_kuroda_q(d1: int, d2: int) -> Fraction:
     verdict = hasse_unit_index(L)
     w_l = L.roots_of_unity_order()
     q = Fraction(2 * verdict.q * w_l, _w_quadratic(imag[0]) * _w_quadratic(imag[1]))
-    assert q in (1, 2, 4), f"q(L) = {q} outside the (2,2) unit index range"
+    if q not in (1, 2, 4):
+        raise InternalInconsistency(f"q(L) = {q} outside the (2,2) unit index range")
     return q
 
 
@@ -282,7 +285,8 @@ def check_counterexample(family: int, **params) -> CheckReport:
 
 def _fundamental_part(d: int) -> int:
     """Fundamental discriminant of Q(sqrt(d))."""
-    assert d != 0
+    if d == 0:
+        raise PreconditionViolated("Q(sqrt 0) is not a field")
     core = 1
     for p, e in factorize(abs(d)):
         if e % 2:
@@ -340,7 +344,7 @@ def _cm_subfields(modulus: int, max_degree: int = DEFAULT_MAX_DEGREE):
         for sub in frontier:
             for chi in full.chars:
                 bigger = field_from_generators(
-                    list(sub.chars) + [chi.primitivize()], max_degree=max_degree
+                    list(sub.chars) + [chi], max_degree=max_degree
                 )
                 if bigger not in subgroups:
                     subgroups.add(bigger)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import euler_phi, factorize, is_prime
-from .errors import PreconditionViolated, UnsupportedField
+from .errors import InternalInconsistency, PreconditionViolated, UnsupportedField
 from .fields import AbelianField, quadratic_field, require_cm
 from .quadratic import (
     SplitType,
@@ -46,10 +46,10 @@ class UnitIndexVerdict:
     essential_ramification: Optional[bool] = None
 
     def __post_init__(self):
-        assert self.q in (1, 2)
         # Q = 2 forces trivial capitulation
-        if self.q == 2:
-            assert self.kappa_order == 1
+        if self.q not in (1, 2) or (self.q == 2 and self.kappa_order != 1):
+            raise InternalInconsistency(
+                f"unit index {self.q} with capitulation kernel {self.kappa_order}")
 
 
 def _is_full_cyclotomic(K: AbelianField) -> bool:
@@ -66,13 +66,16 @@ def hasse_unit_index(
     """Unit index and capitulation-kernel order of a supported CM-field."""
     require_cm(K)
     if override is not None:
-        assert override in (1, 2)
+        if override not in (1, 2):
+            raise PreconditionViolated(
+                f"unit index override must be 1 or 2, got {override}")
         return UnitIndexVerdict(override, 1 if override == 2 else None, RULE_OVERRIDE)
 
     # reduction to the 2-power-degree subfield: odd relative degree does
     # not change the unit index
     K = K.two_primary_subfield()
-    assert K.is_cm()
+    if not K.is_cm():
+        raise InternalInconsistency(f"2-primary subfield {K!r} is not CM")
 
     if K.degree == 2:
         return UnitIndexVerdict(1, 1, RULE_IMAG_QUADRATIC)
@@ -88,7 +91,8 @@ def hasse_unit_index(
     components = K.prime_power_decomposition()
     if components is not None:
         imaginary = sum(1 for comp in components if comp.is_cm())
-        assert imaginary >= 1
+        if imaginary == 0:
+            raise InternalInconsistency("CM field with no CM component")
         if imaginary == 1:
             return UnitIndexVerdict(1, 1, RULE_ONE_IMAGINARY)
         return UnitIndexVerdict(2, 1, RULE_TWO_IMAGINARY)
@@ -109,7 +113,8 @@ def biquadratic_verdict(K: AbelianField) -> UnitIndexVerdict:
     Exposed so decomposable biquadratic fields can be cross-checked
     against the cascade verdict (both routes must agree on Q)."""
     require_cm(K)
-    assert K.degree == 4 and all(c.order <= 2 for c in K.chars)
+    if K.degree != 4 or any(c.order > 2 for c in K.chars):
+        raise PreconditionViolated(f"{K!r} is not biquadratic")
     return _biquadratic_verdict(K)
 
 
@@ -117,11 +122,14 @@ def _biquadratic_verdict(K: AbelianField) -> UnitIndexVerdict:
     discs = K.quadratic_subfield_discriminants()
     real = [d for d in discs if d > 0]
     imag = [d for d in discs if d < 0]
-    assert len(real) == 1 and len(imag) == 2
+    if len(real) != 1 or len(imag) != 2:
+        raise InternalInconsistency(
+            f"biquadratic CM field with quadratic subfields {discs}")
     D = real[0]  # discriminant of the maximal real subfield
     w = K.roots_of_unity_order()
     # w in 8Z would force a full cyclotomic field, caught earlier
-    assert w in (2, 4, 6), f"unexpected root-of-unity order {w}"
+    if w not in (2, 4, 6):
+        raise InternalInconsistency(f"unexpected root-of-unity order {w}")
 
     if w % 4 == 2:
         # K = K+(sqrt(d1)) for the odd quadratic discriminant of smallest
@@ -173,5 +181,7 @@ def martinet_pair(p: int) -> MartinetReport:
     )
     vk = hasse_unit_index(K)
     vl = hasse_unit_index(L)
-    assert vk.q == 2 and vl.q == 1
+    if vk.q != 2 or vl.q != 1:
+        raise InternalInconsistency(
+            f"Martinet pair for p = {p} has unit indices {vk.q}/{vl.q}, not 2/1")
     return MartinetReport(p, norm, vk.q, vl.q)

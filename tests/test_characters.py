@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmfields.arith import divisors, euler_phi, unit_group
+from cmfields.arith import discrete_log_table, divisors, euler_phi, unit_group
 from cmfields.characters import (
     DirichletCharacter,
     all_characters,
@@ -50,7 +50,7 @@ def test_evaluate_examples():
 
 def test_conductor_examples():
     assert principal_character(12).conductor() == 1
-    lifted = CHI_M4.lift(20)
+    lifted = CHI_M4.at_modulus(20)
     assert lifted.conductor() == 4
     assert DirichletCharacter(5, [1]).conductor() == 5
 
@@ -73,8 +73,61 @@ def test_conductor_matches_scan():
             assert chi.conductor() == _conductor_by_scan(chi), chi
 
 
+def _at_modulus_by_values(chi, f):
+    """chi at modulus f read off its values: each generator g of (Z/fZ)*
+    gets the exponent of chi(a) for a representative a = g mod f coprime
+    to the modulus of chi."""
+    m = chi.modulus
+    ug = unit_group(f)
+    exps = []
+    for g, o in zip(ug.generators, ug.orders):
+        a = g
+        while math.gcd(a, m) != 1:
+            a += f
+        exps.append(chi.value_exponent(a) * o // chi.order)
+    return DirichletCharacter(f, exps)
+
+
+def test_at_modulus_matches_values():
+    pairs = 0
+    for m in range(1, 120):
+        for chi in all_characters(m):
+            c = chi.conductor()
+            targets = {c * k for k in range(1, 7)}
+            targets.update(d for d in divisors(m) if d % c == 0)
+            for f in targets:
+                assert chi.at_modulus(f) == _at_modulus_by_values(chi, f), (chi, f)
+                pairs += 1
+    assert pairs == 26788
+
+
+def test_at_modulus_rejects_moduli_below_conductor():
+    with pytest.raises(ValueError):
+        CHI_M4.at_modulus(10)
+    with pytest.raises(ValueError):
+        DirichletCharacter(9, [2]).at_modulus(3)  # order 3 needs conductor 9
+
+
+def test_at_modulus_generator_change():
+    # 5 is the smallest primitive root mod p = 40487 but not mod p^2, so the
+    # generators mod p and mod p^2 differ mod p and the exponent picks up
+    # the unit d with g_(p^2) = g_p^d mod p
+    p = 40487
+    assert unit_group(p).generators != tuple(g % p for g in unit_group(p * p).generators)
+    log = discrete_log_table(p)
+    x = log[unit_group(p * p).generators[0] % p][0]  # g_(p^2) = g_p^x mod p
+    chi = DirichletCharacter(p * p, [3 * p])  # chi(g_(p^2)) = zeta_(p-1)^3
+    prim = chi.primitivize()
+    assert prim.modulus == p and prim.order == p - 1
+    assert prim.exponents[0] * x % (p - 1) == 3
+    psi = DirichletCharacter(p, [1])
+    lifted = psi.at_modulus(p * p)
+    assert lifted.exponents == (p * x % (p * (p - 1)),)
+    assert lifted.primitivize() == psi
+
+
 def test_primitivize_round_trip():
-    lifted = CHI_M4.lift(20)
+    lifted = CHI_M4.at_modulus(20)
     assert lifted.primitivize() == CHI_M4
     assert CHI_M4.primitivize() is CHI_M4
     assert lifted.primitive_key() == CHI_M4.primitive_key()
@@ -84,6 +137,15 @@ def test_parity_examples():
     assert principal_character(7).parity() == 1
     assert CHI_M4.parity() == -1
     assert DirichletCharacter(5, [2]).parity() == 1  # Kronecker character of Q(sqrt 5)
+
+
+def test_parity_matches_values():
+    count = 0
+    for m in range(1, 300):
+        for chi in all_characters(m):
+            assert chi.parity() == (1 if chi.value_exponent(m - 1) == 0 else -1), chi
+            count += 1
+    assert count == 27318
 
 
 def test_group_law_examples():

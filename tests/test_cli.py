@@ -173,6 +173,8 @@ def test_error_exit_code(capsys):
     "verify martinet 7",
     "verify martinet 25",
     "verify martinet 17 9",
+    "--max-degree 4 verify metsankyla 5 7",
+    "--max-degree 4 verify masley 5 3",
 ])
 def test_malformed_input_exits_2(capsys, argv):
     try:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,13 @@ from pathlib import Path
 import pytest
 
 from cmfields.arith import divisors, euler_phi
-from cmfields.characters import DirichletCharacter, all_characters, principal_character
+from cmfields.characters import (
+    DirichletCharacter,
+    all_characters,
+    char_mul,
+    decode_character,
+    principal_character,
+)
 from cmfields.errors import (
     DegreeBoundExceeded,
     NotFundamentalDiscriminant,
@@ -36,7 +43,37 @@ def test_field_from_generators_examples():
     assert field_from_generators([principal_character(1)]) == rational_field()
 
 
+def _closure_by_bfs(gens):
+    """Closure by breadth-first search: multiply every generator into each
+    new element until no new element appears."""
+    m = normalize_cyclotomic_modulus(math.lcm(1, *(g.conductor() for g in gens)))
+    gens = [g.at_modulus(m) for g in gens]
+    group = {principal_character(m)}
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for g in gens:
+            for c in frontier:
+                prod = char_mul(g, c)
+                if prod not in group:
+                    group.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return AbelianField(group)
+
+
+def test_closure_matches_bfs():
+    rng = random.Random(20121)
+    for m in range(1, 61):
+        chars = all_characters(m)
+        for _ in range(20):
+            gens = rng.sample(chars, min(len(chars), rng.randint(1, 3)))
+            assert field_from_generators(gens).chars == _closure_by_bfs(gens).chars, gens
+
+
 def test_degree_bound():
+    with pytest.raises(DegreeBoundExceeded, match="degree exceeds bound 64"):
+        field_from_generators([decode_character("f=10007:e=1")], max_degree=64)
     with pytest.raises(DegreeBoundExceeded):
         field_from_generators([DirichletCharacter(5, [1])], max_degree=3)
     with pytest.raises(DegreeBoundExceeded):
@@ -203,7 +240,7 @@ def test_quadratic_subfield_discriminants():
 
 
 def test_equality_is_modulus_independent():
-    lifted = AbelianField([c.lift(20) for c in quadratic_field(-4).chars])
+    lifted = AbelianField([c.at_modulus(20) for c in quadratic_field(-4).chars])
     assert lifted == quadratic_field(-4)
     assert hash(lifted) == hash(quadratic_field(-4))
 

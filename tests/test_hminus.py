@@ -36,8 +36,8 @@ def test_primitivize_then_sum():
     # an imprimitive character must be summed over its conductor: the
     # lift of chi_{-4} to modulus 20 has the same B as chi_{-4} itself
     chi = DirichletCharacter(4, [1])
-    assert bernoulli_b1(chi.lift(20)) == bernoulli_b1(chi)
-    assert bernoulli_b1(chi.lift(12)) == Fraction(-1, 2)
+    assert bernoulli_b1(chi.at_modulus(20)) == bernoulli_b1(chi)
+    assert bernoulli_b1(chi.at_modulus(12)) == Fraction(-1, 2)
 
 
 def test_conjugate_pairing():

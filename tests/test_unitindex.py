@@ -1,9 +1,15 @@
 """Unit-index cascade and capitulation verdicts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cmfields.errors import NotCMField, PreconditionViolated, UnsupportedField
 from cmfields.fields import cyclotomic_field, quadratic_field
+from cmfields.hminus import minus_class_number
 from cmfields.quadratic import ideal_sqrt_of_element, is_principal
 from cmfields.unitindex import (
     RULE_CYC_COMPOSITE,
@@ -56,6 +62,42 @@ def test_rejects_non_cm():
 def test_override():
     v = hasse_unit_index(quadratic_field(-4), override=2)
     assert (v.q, v.kappa_order, v.rule) == (2, 1, RULE_OVERRIDE)
+
+
+def test_override_out_of_range_rejected():
+    with pytest.raises(PreconditionViolated):
+        hasse_unit_index(quadratic_field(-23), override=3)
+    with pytest.raises(PreconditionViolated):
+        minus_class_number(quadratic_field(-23), q_override=3)
+
+
+def test_biquadratic_verdict_rejects_other_fields():
+    with pytest.raises(PreconditionViolated):
+        biquadratic_verdict(cyclotomic_field(5))  # cyclic of degree 4
+
+
+def test_input_checks_hold_under_python_O():
+    # python -O strips assert statements; these checks must not be asserts
+    script = (
+        "from cmfields.errors import PreconditionViolated\n"
+        "from cmfields.fields import cyclotomic_field, quadratic_field\n"
+        "from cmfields.hminus import minus_class_number\n"
+        "from cmfields.unitindex import biquadratic_verdict\n"
+        "calls = {\n"
+        "    'q_override=3': lambda: minus_class_number(quadratic_field(-23), q_override=3),\n"
+        "    'zeta:5': lambda: biquadratic_verdict(cyclotomic_field(5)),\n"
+        "}\n"
+        "for name, call in calls.items():\n"
+        "    try:\n"
+        "        call()\n"
+        "    except PreconditionViolated:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {name}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_theorem_instances():
