@@ -43,6 +43,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_degree < 1:
+            raise PreconditionViolated(
+                f"--max-degree must be at least 1, got {args.max_degree}")
         return args.func(args)
     except CMFieldsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import Rational, divisors, euler_phi
+from .arith import Rational, divisors, euler_phi, unit_group
 from .errors import InternalInconsistency, NotCoprime
 
 
@@ -28,14 +28,18 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
         return (-1, 1)
     poly = [-1] + [0] * (e - 1) + [1]  # x^e - 1
     for d in divisors(e)[:-1]:
-        poly = _int_poly_div_exact(poly, cyclotomic_polynomial(d))
+        poly, rem = _int_poly_divmod(poly, cyclotomic_polynomial(d))
+        if any(rem):
+            raise InternalInconsistency("polynomial division left a remainder")
     if len(poly) != euler_phi(e) + 1 or poly[-1] != 1:
         raise InternalInconsistency(f"Phi_{e} is not monic of degree phi({e})")
     return tuple(poly)
 
 
-def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact division of integer polynomials; den must be monic and divide num."""
+def _int_poly_divmod(num: list[int], den: tuple[int, ...]
+                     ) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials; den must be monic and
+    no longer than num."""
     num = list(num)
     dn = len(den) - 1
     quot = [0] * (len(num) - dn)
@@ -44,10 +48,9 @@ def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
         quot[i] = c
         if c:
             for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num):
-        raise InternalInconsistency("polynomial division left a remainder")
-    return quot
+                if dj:
+                    num[i + j] -= c * dj
+    return quot, num[:dn]
 
 
 @lru_cache(maxsize=None)
@@ -229,15 +232,85 @@ def galois_apply(k: int, x: CycNumber) -> CycNumber:
 
 
 def absolute_norm(x: CycNumber) -> Rational:
-    """Product of all Galois conjugates of x; certified rational."""
-    e = x.level
-    prod = CycNumber.from_rational(e, 1)
-    for k in range(1, e + 1):
-        if math.gcd(k, e) == 1:
-            prod = prod * galois_apply(k, x)
-    if not prod.is_rational():
+    """Product of all Galois conjugates of x; certified rational.
+
+    Computed in Z[x]/(x^n - 1), n = x.level, after clearing denominators.
+    That ring maps onto Q(zeta_n) by a ring map commuting with every
+    sigma_k, and there sigma_k only permutes coefficients (i -> i*k mod n).
+    For each canonical generator g of order o of (Z/nZ)*, P becomes
+    prod_(j<o) sigma_(g^j)(P), built by the binary digits of o.  One
+    reduction mod Phi_n at the end must leave a rational c, and the norm
+    is c / den^phi(n).
+    """
+    n = x.level
+    den = math.lcm(*(c.denominator for c in x.coeffs))
+    poly = [c.numerator * (den // c.denominator) for c in x.coeffs]
+    poly += [0] * (n - len(poly))
+    ug = unit_group(n)
+    for g, o in zip(ug.generators, ug.orders):
+        poly = _orbit_product(poly, g, o)
+    _, rem = _int_poly_divmod(poly, cyclotomic_polynomial(n))
+    if any(rem[1:]):
         raise InternalInconsistency("norm did not land in Q")
-    return prod.as_rational()
+    return Fraction(rem[0], den ** len(x.coeffs))
+
+
+def _orbit_product(p: list[int], g: int, o: int) -> list[int]:
+    """prod_(j<o) sigma_(g^j)(p) in Z[x]/(x^n - 1), n = len(p).
+
+    With T_k = prod_(j<k) sigma_(g^j)(p): T_2k = T_k * sigma_(g^k)(T_k) and
+    T_(k+1) = p * sigma_g(T_k), taken over the binary digits of o.
+    """
+    n = len(p)
+    t, k = p, 1
+    for bit in bin(o)[3:]:
+        t = _cyclic_mul(t, _sigma(pow(g, k, n), t))
+        k *= 2
+        if bit == "1":
+            t = _cyclic_mul(p, _sigma(g, t))
+            k += 1
+    return t
+
+
+def _sigma(k: int, p: list[int]) -> list[int]:
+    """x -> x^k on Z[x]/(x^n - 1): coefficient i moves to i*k mod n."""
+    n = len(p)
+    out = [0] * n
+    for i, c in enumerate(p):
+        out[i * k % n] = c
+    return out
+
+
+def _cyclic_mul(a: list[int], b: list[int]) -> list[int]:
+    """a * b in Z[x]/(x^n - 1) as one big-int product.
+
+    Kronecker substitution: evaluate at x = 2^bits with bits so wide that
+    every coefficient of the product, folded mod x^n - 1, is below
+    2^(bits-1) in absolute value, and read the digits back signed.
+    """
+    n = len(a)
+    ma, mb = max(map(abs, a)), max(map(abs, b))
+    bound = max(n * ma * mb, ma, mb)  # the inputs are packed at this width too
+    width = (bound.bit_length() + 8) // 8  # bytes per digit
+    bits = 8 * width
+    half = 1 << (bits - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+
+    def pack(v):
+        raw = b"".join((c + half).to_bytes(width, "little") for c in v)
+        return int.from_bytes(raw, "little") - offset
+
+    prod = pack(a) * pack(b)
+    # fold x^n = 1: the low n digits read as a signed number, plus the rest
+    size = bits * n
+    low = prod & ((1 << size) - 1)
+    high = prod >> size
+    if low >= 1 << (size - 1):
+        low -= 1 << size
+        high += 1
+    raw = (low + high + offset).to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, width * n, width)]
 
 
 def pi_element(m: int) -> CycNumber:

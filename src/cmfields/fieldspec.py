@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import DirichletCharacter
-from .errors import ParseError
+from .errors import DegreeBoundExceeded, ParseError
 from .fields import (
     AbelianField,
     DEFAULT_MAX_DEGREE,
@@ -34,6 +34,8 @@ class FieldSpec:
         if self.kind == "zeta":
             return cyclotomic_field(self.payload[0], max_degree=max_degree)
         if self.kind == "quad":
+            if max_degree < 2:
+                raise DegreeBoundExceeded(f"degree 2 exceeds bound {max_degree}")
             return quadratic_field(self.payload[0])
         if self.kind == "chars":
             gens = [DirichletCharacter(m, e) for m, e in self.payload]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .arith import unit_group
 from .characters import DirichletCharacter, galois_orbits
 from .cyclotomic import CycNumber, absolute_norm
 from .errors import (
@@ -36,11 +37,19 @@ def bernoulli_b1(chi: DirichletCharacter) -> CycNumber:
     chi = chi.primitivize()
     f = chi.modulus
     n = chi.order
-    acc = [Fraction(0)] * n
-    for a in range(1, f + 1):
-        t = chi.value_exponent(a)
-        if t is not None:
-            acc[t] += a
+    # (Z/fZ)* as products of canonical generator powers, each residue with
+    # its value exponent t, chi(a) = zeta_n^t
+    ug = unit_group(f)
+    units = [(1, 0)]
+    for g, o, e in zip(ug.generators, ug.orders, chi.exponents):
+        step = e * n // o
+        cosets = [units]
+        for _ in range(o - 1):
+            cosets.append([(a * g % f, (t + step) % n) for a, t in cosets[-1]])
+        units = [u for coset in cosets for u in coset]
+    acc = [0] * n
+    for a, t in units:
+        acc[t] += a
     return CycNumber.from_power_coeffs(n, acc) / f
 
 

@@ -175,6 +175,9 @@ def test_error_exit_code(capsys):
     "verify martinet 17 9",
     "--max-degree 4 verify metsankyla 5 7",
     "--max-degree 4 verify masley 5 3",
+    "--max-degree 1 hminus --field quad:-3",
+    "--max-degree -1 hminus --field quad:-3",
+    "--max-degree 0 verify v4 -4 -20",
 ])
 def test_malformed_input_exits_2(capsys, argv):
     try:

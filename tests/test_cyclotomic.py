@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(zeta_e)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,29 @@ def test_galois_permutes_roots():
             assert acc == 0
 
 
+def _norm_by_conjugates(x):
+    """The product of all phi(e) conjugates of x, one at a time."""
+    e = x.level
+    prod = CycNumber.from_rational(e, 1)
+    for k in range(1, e + 1):
+        if math.gcd(k, e) == 1:
+            prod = prod * galois_apply(k, x)
+    return prod.as_rational()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.data())
+def test_absolute_norm_matches_conjugates(e, data):
+    n = euler_phi(e)
+    coeffs = data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        min_size=n, max_size=n))
+    # zero the tail from a drawn index: 0 gives zero, 1 a rational
+    keep = data.draw(st.integers(min_value=0, max_value=n))
+    x = CycNumber(e, coeffs[:keep] + [0] * (n - keep))
+    assert absolute_norm(x) == _norm_by_conjugates(x)
+
+
 def test_absolute_norm_examples():
     assert absolute_norm(CycNumber.from_rational(4, 5)) == 25
     assert absolute_norm(CycNumber.from_rational(4, 1) + CycNumber.zeta(4, 1)) == 2
@@ -114,6 +138,10 @@ def test_absolute_norm_examples():
         assert is_prime(p)
         x = CycNumber.from_rational(p, 1) - CycNumber.zeta(p, 1)
         assert absolute_norm(x) == p
+    for e in (1, 2, 7, 60):
+        assert absolute_norm(CycNumber.from_rational(e, 0)) == 0
+        r = Fraction(-7, 3)
+        assert absolute_norm(CycNumber.from_rational(e, r)) == r ** euler_phi(e)
 
 
 @settings(max_examples=40)

@@ -62,3 +62,6 @@ def test_max_degree_respected():
 
     with pytest.raises(DegreeBoundExceeded):
         parse_field_spec("zeta:100").build(max_degree=16)
+    with pytest.raises(DegreeBoundExceeded):
+        parse_field_spec("quad:-3").build(max_degree=1)
+    assert parse_field_spec("quad:-3").build(max_degree=2).degree == 2

@@ -1,12 +1,14 @@
 """Minus class number engine: Bernoulli numbers and the exact formula."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from cmfields.arith import is_prime
 from cmfields.characters import DirichletCharacter, all_characters
-from cmfields.cyclotomic import galois_apply
+from cmfields.cyclotomic import CycNumber, galois_apply
 from cmfields.errors import EvenCharacter, NotClosed, PrincipalCharacter
 from cmfields.fields import cyclotomic_field, is_fundamental_discriminant, quadratic_field
 from cmfields.hminus import (
@@ -23,6 +25,28 @@ def test_bernoulli_examples():
     assert bernoulli_b1(DirichletCharacter(3, [1])) == Fraction(-1, 3)
     chi23 = [c for c in all_characters(23) if c.order == 2][0]
     assert bernoulli_b1(chi23) == -3  # equals -h(-23)
+
+
+def _bernoulli_by_values(chi):
+    """B_(1,chi) summed over a = 1..f, each chi(a) by its discrete log."""
+    chi = chi.primitivize()
+    f = chi.modulus
+    acc = [Fraction(0)] * chi.order
+    for a in range(1, f + 1):
+        t = chi.value_exponent(a)
+        if t is not None:
+            acc[t] += a
+    return CycNumber.from_power_coeffs(chi.order, acc) / f
+
+
+def test_bernoulli_matches_values():
+    count = 0
+    for m in range(1, 120):
+        for chi in all_characters(m):
+            if chi.is_odd():
+                assert bernoulli_b1(chi) == _bernoulli_by_values(chi), chi
+                count += 1
+    assert count == 2176
 
 
 def test_bernoulli_rejects_wrong_parity():
@@ -96,6 +120,31 @@ def test_known_cyclotomic_values():
              89: 13379363737, 97: 411322824001}
     for m, h in known.items():
         assert minus_class_number(cyclotomic_field(m)).h_minus == h, m
+
+
+def _bernoulli_numbers(top):
+    """B_0..B_top from sum_(j<=k) C(k+1, j) B_j = 0 (k >= 1)."""
+    b = [Fraction(1)]
+    for k in range(1, top + 1):
+        b.append(-sum(math.comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return b
+
+
+def test_kummer_criterion():
+    # p | h-(Q(zeta_p)) iff p divides the numerator of some B_k,
+    # k = 2, 4, ..., p - 3 (Washington, Introduction to Cyclotomic Fields,
+    # Ch. 5); the norms of the larger fields come only from the kernel
+    b = _bernoulli_numbers(196)
+    irregular = []
+    for p in range(5, 200):
+        if not is_prime(p):
+            continue
+        h = minus_class_number(cyclotomic_field(p, max_degree=p - 1)).h_minus
+        kummer = any(b[k].numerator % p == 0 for k in range(2, p - 2, 2))
+        assert (h % p == 0) == kummer, p
+        if kummer:
+            irregular.append(p)
+    assert irregular == [37, 59, 67, 101, 103, 131, 149, 157]
 
 
 def test_orbit_invariance():
