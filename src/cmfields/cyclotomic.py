@@ -1,8 +1,9 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_e).
 
 Elements are stored on the power basis 1, z, ..., z^(phi(e)-1) modulo the
-e-th cyclotomic polynomial, with Fraction coefficients.  Everything here is
-exact; there is no floating point anywhere in this package.
+e-th cyclotomic polynomial, as integer numerators over one common
+denominator.  Everything here is exact; there is no floating point
+anywhere in this package.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 def _int_poly_divmod(num: list[int], den: tuple[int, ...]
                      ) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer polynomials; den must be monic and
-    no longer than num."""
+    num at least deg(den) long."""
     num = list(num)
     dn = len(den) - 1
     quot = [0] * (len(num) - dn)
@@ -53,80 +54,91 @@ def _int_poly_divmod(num: list[int], den: tuple[int, ...]
     return quot, num[:dn]
 
 
-@lru_cache(maxsize=None)
-def _zeta_power(e: int, j: int) -> tuple[int, ...]:
-    """x^j mod Phi_e as an integer coefficient vector of length phi(e)."""
-    j %= e
-    n = euler_phi(e)
-    if j < n:
-        vec = [0] * n
-        vec[j] = 1
-        return tuple(vec)
-    phi = cyclotomic_polynomial(e)
-    # x^j = x * x^(j-1) reduced by the monic relation x^n = -(lower terms)
-    prev = list(_zeta_power(e, j - 1))
-    lead = prev[-1]
-    vec = [0] + prev[:-1]
-    if lead:
-        for i in range(n):
-            vec[i] -= lead * phi[i]
-    return tuple(vec)
-
-
 class CycNumber:
     """Element of Q(zeta_e) on the power basis mod Phi_e.
 
+    Stored as integer numerators `num` over one positive common denominator
+    `den` in lowest terms, gcd(den, *num) = 1, so zero is (0, ..., 0)/1 and
+    two elements of one level are equal exactly when their fields are.
     Immutable.  Arithmetic requires equal levels; callers lift explicitly
     via `lift` when mixing levels (Q(zeta_e) embeds in Q(zeta_e') for e | e').
     """
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "num", "den")
 
     def __init__(self, level: int, coeffs):
         n = euler_phi(level)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != n:
             raise ValueError(f"level {level} needs {n} coordinates, got {len(coeffs)}")
+        # the lcm of lowest-terms denominators leaves gcd(den, *num) = 1
+        den = math.lcm(1, *(c.denominator for c in coeffs))
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", tuple(
+            c.numerator * (den // c.denominator) for c in coeffs))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CycNumber is immutable")
 
     @classmethod
+    def _from_ints(cls, level: int, num, den: int) -> "CycNumber":
+        """num / den, phi(level) integer numerators and den != 0, brought to
+        lowest terms with den > 0."""
+        if den < 0:
+            num, den = [-c for c in num], -den
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+        x = object.__new__(cls)
+        object.__setattr__(x, "level", level)
+        object.__setattr__(x, "num", tuple(num))
+        object.__setattr__(x, "den", den)
+        return x
+
+    @classmethod
     def from_rational(cls, level: int, value) -> "CycNumber":
-        vec = [Fraction(0)] * euler_phi(level)
-        vec[0] = Fraction(value)
-        return cls(level, vec)
+        q = Fraction(value)
+        num = [q.numerator] + [0] * (euler_phi(level) - 1)
+        return cls._from_ints(level, num, q.denominator)
 
     @classmethod
     def zeta(cls, level: int, power: int = 1) -> "CycNumber":
-        return cls(level, [Fraction(c) for c in _zeta_power(level, power)])
+        return cls.from_power_coeffs(level, [0] * (power % level) + [1])
 
     @classmethod
-    def from_power_coeffs(cls, level: int, coeffs) -> "CycNumber":
-        """Build sum_j coeffs[j] * zeta^j for an arbitrary-length coefficient
-        list (exponents taken mod level)."""
-        acc = [Fraction(0)] * euler_phi(level)
+    def from_power_coeffs(cls, level: int, coeffs, den: int = 1) -> "CycNumber":
+        """Build (sum_j coeffs[j] * zeta^j) / den from integer coefficients
+        of any length (exponents taken mod level) and a nonzero integer den.
+
+        The coefficients are folded mod x^level - 1 and reduced once mod
+        Phi_level."""
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        folded = [0] * level
         for j, c in enumerate(coeffs):
             if c:
-                for i, z in enumerate(_zeta_power(level, j)):
-                    if z:
-                        acc[i] += c * z
-        return cls(level, acc)
+                folded[j % level] += c
+        _, rem = _int_poly_divmod(folded, cyclotomic_polynomial(level))
+        return cls._from_ints(level, rem, den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- predicates ------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Rational:
         if not self.is_rational():
             raise InternalInconsistency(f"not rational: {self!r}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -145,36 +157,41 @@ class CycNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNumber(self.level, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return CycNumber._from_ints(
+            self.level, [a * sa + b * sb for a, b in zip(self.num, other.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.level, [-a for a in self.coeffs])
+        return CycNumber._from_ints(self.level, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNumber(self.level, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycNumber(self.level, [a * other for a in self.coeffs])
+            q = Fraction(other)
+            return CycNumber._from_ints(
+                self.level, [a * q.numerator for a in self.num],
+                self.den * q.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
+        prod = [0] * (2 * len(self.num) - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.num):
                     if b:
                         prod[i + j] += a * b
-        return CycNumber.from_power_coeffs(self.level, prod)
+        return CycNumber.from_power_coeffs(self.level, prod, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -184,22 +201,26 @@ class CycNumber:
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError
-        return CycNumber(self.level, [a / other for a in self.coeffs])
+        q = Fraction(other)
+        return CycNumber._from_ints(
+            self.level, [a * q.denominator for a in self.num],
+            self.den * q.numerator)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.as_rational() == other
         if isinstance(other, CycNumber):
-            if other.level == self.level:
-                return self.coeffs == other.coeffs
-            lcm = math.lcm(self.level, other.level)
-            return self.lift(lcm).coeffs == other.lift(lcm).coeffs
+            a, b = self, other
+            if a.level != b.level:
+                lcm = math.lcm(a.level, b.level)
+                a, b = a.lift(lcm), b.lift(lcm)
+            return a.num == b.num and a.den == b.den
         return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.level, self.coeffs))
+            return hash(self.as_rational())
+        return hash((self.level, self.num, self.den))
 
     def __repr__(self):
         return f"CycNumber(level={self.level}, coeffs={[str(c) for c in self.coeffs]})"
@@ -213,10 +234,10 @@ class CycNumber:
         if new_level % self.level:
             raise ValueError(f"{self.level} does not divide {new_level}")
         step = new_level // self.level
-        acc = [Fraction(0)] * (euler_phi(self.level) * step - step + 1)
-        for j, c in enumerate(self.coeffs):
+        acc = [0] * ((len(self.num) - 1) * step + 1)
+        for j, c in enumerate(self.num):
             acc[j * step] = c
-        return CycNumber.from_power_coeffs(new_level, acc)
+        return CycNumber.from_power_coeffs(new_level, acc, self.den)
 
 
 def galois_apply(k: int, x: CycNumber) -> CycNumber:
@@ -224,17 +245,17 @@ def galois_apply(k: int, x: CycNumber) -> CycNumber:
     e = x.level
     if math.gcd(k, e) != 1:
         raise NotCoprime(f"gcd({k}, {e}) != 1")
-    acc = [Fraction(0)] * e
-    for i, c in enumerate(x.coeffs):
+    acc = [0] * e
+    for i, c in enumerate(x.num):
         if c:
             acc[(i * k) % e] += c
-    return CycNumber.from_power_coeffs(e, acc)
+    return CycNumber.from_power_coeffs(e, acc, x.den)
 
 
 def absolute_norm(x: CycNumber) -> Rational:
     """Product of all Galois conjugates of x; certified rational.
 
-    Computed in Z[x]/(x^n - 1), n = x.level, after clearing denominators.
+    Computed on the numerators in Z[x]/(x^n - 1), n = x.level.
     That ring maps onto Q(zeta_n) by a ring map commuting with every
     sigma_k, and there sigma_k only permutes coefficients (i -> i*k mod n).
     For each canonical generator g of order o of (Z/nZ)*, P becomes
@@ -243,16 +264,14 @@ def absolute_norm(x: CycNumber) -> Rational:
     is c / den^phi(n).
     """
     n = x.level
-    den = math.lcm(*(c.denominator for c in x.coeffs))
-    poly = [c.numerator * (den // c.denominator) for c in x.coeffs]
-    poly += [0] * (n - len(poly))
+    poly = list(x.num) + [0] * (n - len(x.num))
     ug = unit_group(n)
     for g, o in zip(ug.generators, ug.orders):
         poly = _orbit_product(poly, g, o)
     _, rem = _int_poly_divmod(poly, cyclotomic_polynomial(n))
     if any(rem[1:]):
         raise InternalInconsistency("norm did not land in Q")
-    return Fraction(rem[0], den ** len(x.coeffs))
+    return Fraction(rem[0], x.den ** len(x.num))
 
 
 def _orbit_product(p: list[int], g: int, o: int) -> list[int]:

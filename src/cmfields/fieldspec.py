@@ -75,11 +75,17 @@ def _parse_one(text: str, pos: int) -> tuple[FieldSpec, int]:
     raise ParseError(text, pos, "'zeta:', 'quad:' or 'chars:'")
 
 
+def _is_digit(ch: str) -> bool:
+    """ASCII 0-9 only: str.isdigit() also takes '²' and '٣', which int()
+    rejects or reads as another number."""
+    return "0" <= ch <= "9"
+
+
 def _parse_int(text: str, pos: int) -> tuple[int, int]:
     end = pos
     if end < len(text) and text[end] == "-":
         end += 1
-    while end < len(text) and text[end].isdigit():
+    while end < len(text) and _is_digit(text[end]):
         end += 1
     if end == pos or text[pos:end] == "-":
         raise ParseError(text, pos, "integer")
@@ -99,7 +105,7 @@ def _parse_chars(text: str, pos: int, start: int) -> tuple[FieldSpec, int]:
             raise ParseError(text, pos, "':e='")
         pos += 3
         exps = []
-        if pos < len(text) and text[pos].isdigit():
+        if pos < len(text) and _is_digit(text[pos]):
             while True:
                 value, pos = _parse_int(text, pos)
                 exps.append(value)

@@ -50,14 +50,31 @@ def bernoulli_b1(chi: DirichletCharacter) -> CycNumber:
     acc = [0] * n
     for a, t in units:
         acc[t] += a
-    return CycNumber.from_power_coeffs(n, acc) / f
+    return CycNumber.from_power_coeffs(n, acc, f)
+
+
+# primitive key of an orbit's representative -> orbit_factor
+_ORBIT_FACTORS: dict[tuple[int, tuple[int, ...]], Fraction] = {}
 
 
 def orbit_factor(rep: DirichletCharacter) -> Fraction:
     """Product of (-B_(1,chi)/2) over the Galois orbit of rep, as the
-    norm of the representative's factor from Q(zeta_ord) down to Q."""
-    value = -bernoulli_b1(rep) / 2
-    return absolute_norm(value)
+    norm of the representative's factor from Q(zeta_ord) down to Q.
+
+    Memoized for the life of the process on rep's primitive key: the norm
+    depends only on the orbit, so any representative gives the same value,
+    and callers pick the canonical one (`_orbit_rep`) so they share entries.
+    """
+    key = rep.primitive_key()
+    norm = _ORBIT_FACTORS.get(key)
+    if norm is None:
+        norm = _ORBIT_FACTORS[key] = absolute_norm(-bernoulli_b1(rep) / 2)
+    return norm
+
+
+def _orbit_rep(orbit: list[DirichletCharacter]) -> DirichletCharacter:
+    """The canonical representative of an orbit, min by (order, key)."""
+    return min(orbit, key=lambda c: (c.order, c.primitive_key()))
 
 
 @dataclass(frozen=True)
@@ -80,7 +97,7 @@ def minus_class_number(
     factors = []
     total = Fraction(verdict.q * w)
     for orbit in galois_orbits(K.odd_characters()):
-        rep = min(orbit, key=lambda c: (c.order, c.primitive_key()))
+        rep = _orbit_rep(orbit)
         norm = orbit_factor(rep)
         factors.append((rep.primitivize().encode(), norm))
         total *= norm
@@ -111,5 +128,5 @@ def minus_partial_product(chars) -> Fraction:
         raise NotClosed("duplicate characters in partial-product input")
     total = Fraction(1)
     for orbit in galois_orbits(chars):
-        total *= orbit_factor(orbit[0])
+        total *= orbit_factor(_orbit_rep(orbit))
     return total

@@ -8,10 +8,12 @@ No tolerances anywhere: every comparison is exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from .arith import factorize
+from .arith import divisors, factorize, unit_group
+from .characters import DirichletCharacter, principal_character
 from .errors import (
     DegreeBoundExceeded,
     EvenIndex,
@@ -27,6 +29,7 @@ from .fields import (
     AbelianField,
     DEFAULT_MAX_DEGREE,
     cyclotomic_field,
+    field_from_generators,
     is_fundamental_discriminant,
     quadratic_field,
 )
@@ -332,25 +335,51 @@ def sweep_v4(max_product: int = 2000) -> list[CheckReport]:
     return reports
 
 
+def _subgroups(orders: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    """Every subgroup of Z/o_1 x ... x Z/o_r exactly once, each as at most r
+    generators (exponent vectors).
+
+    A subgroup H of A x Z/o, A the first r - 1 factors, projects onto <d>
+    for a divisor d of o, and K = H meet A is a subgroup of A.  Then
+    H = K + <(a, d)> with a fixed mod K and (o/d) a in K, and every such
+    triple (K, d, a + K) gives one H.  So a cyclic group has one subgroup
+    <d> per divisor d of its order, and Z/2 x Z/2^j (powers of 2) has 3j + 2
+    subgroups, none needing more than two generators.
+    """
+    if not orders:
+        return [[]]
+    rest, o = orders[:-1], orders[-1]
+    out = []
+    for gens in _subgroups(rest):
+        kernel = {(0,) * len(rest)}
+        for g in gens:
+            kernel = {tuple((x + t * y) % n for x, y, n in zip(k, g, rest))
+                      for k in kernel for t in range(math.lcm(*rest))}
+        cosets = {min(tuple((x + y) % n for x, y, n in zip(a, k, rest))
+                      for k in kernel)
+                  for a in itertools.product(*map(range, rest))}
+        lifted = [g + (0,) for g in gens]
+        for d in divisors(o):
+            for a in sorted(cosets):
+                if tuple(x * (o // d) % n for x, n in zip(a, rest)) in kernel:
+                    out.append(lifted + [a + (d % o,)])
+    return out
+
+
+def _subfields(modulus: int, max_degree: int = DEFAULT_MAX_DEGREE):
+    """All subfields of Q(zeta_modulus), one per subgroup of its character
+    group (`_subgroups` over the orders of the canonical generators)."""
+    return [
+        field_from_generators(
+            [DirichletCharacter(modulus, g) for g in gens]
+            or [principal_character(modulus)], max_degree=max_degree)
+        for gens in _subgroups(unit_group(modulus).orders)
+    ]
+
+
 def _cm_subfields(modulus: int, max_degree: int = DEFAULT_MAX_DEGREE):
     """All CM subfields of Q(zeta_modulus)."""
-    from .fields import field_from_generators
-
-    full = cyclotomic_field(modulus, max_degree=max_degree)
-    subgroups = {AbelianField(full.chars[:1])}
-    frontier = list(subgroups)
-    while frontier:
-        new = []
-        for sub in frontier:
-            for chi in full.chars:
-                bigger = field_from_generators(
-                    list(sub.chars) + [chi], max_degree=max_degree
-                )
-                if bigger not in subgroups:
-                    subgroups.add(bigger)
-                    new.append(bigger)
-        frontier = new
-    return [f for f in subgroups if f.is_cm()]
+    return [f for f in _subfields(modulus, max_degree) if f.is_cm()]
 
 
 def sweep_metsankyla(

@@ -178,6 +178,11 @@ def test_error_exit_code(capsys):
     "--max-degree 1 hminus --field quad:-3",
     "--max-degree -1 hminus --field quad:-3",
     "--max-degree 0 verify v4 -4 -20",
+    "hminus --field zeta:\u00b2",
+    "hminus --field quad:-\u00b2",
+    "hminus --field chars:f=5:e=\u00b2",
+    "hminus --field zeta:\u0663",
+    "hminus --field chars:f=\u0665:e=1",
 ])
 def test_malformed_input_exits_2(capsys, argv):
     try:

@@ -181,3 +181,67 @@ def test_pi_stepwise_relative_norm():
         k = 2 ** (m - 1) + 1
         step = pi * galois_apply(k, pi)
         assert step == CycNumber.from_rational(2**m, 4) - pi_element(m - 1).lift(2**m)
+
+
+def _reduce(level, coeffs):
+    """sum_j coeffs[j] zeta^j on the power basis, in Fractions: fold mod
+    x^level - 1, then long division by Phi_level."""
+    acc = [Fraction(0)] * level
+    for j, c in enumerate(coeffs):
+        acc[j % level] += c
+    phi = cyclotomic_polynomial(level)
+    n = len(phi) - 1
+    for i in range(level - 1, n - 1, -1):
+        c = acc[i]
+        for j, p in enumerate(phi):
+            acc[i - n + j] -= c * p
+    return tuple(acc[:n])
+
+
+def _check_invariants(x):
+    assert x.den > 0
+    assert all(isinstance(c, int) for c in x.num) and isinstance(x.den, int)
+    assert math.gcd(x.den, *x.num) == 1
+    if x.is_zero():
+        assert x.num == (0,) * len(x.num) and x.den == 1
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.data())
+def test_integer_representation_matches_fractions(e, data):
+    n = euler_phi(e)
+    xs = data.draw(st.lists(_fractions, min_size=n, max_size=n))
+    ys = data.draw(st.lists(_fractions, min_size=n, max_size=n))
+    q = data.draw(_fractions.filter(bool))
+    k = data.draw(st.sampled_from([k for k in range(1, e + 1) if math.gcd(k, e) == 1]))
+    step = data.draw(st.integers(min_value=1, max_value=3))
+    x, y = CycNumber(e, xs), CycNumber(e, ys)
+    conv = [Fraction(0)] * (2 * n - 1)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            conv[i + j] += a * b
+    lifted = [Fraction(0)] * (n * step)
+    for j, a in enumerate(xs):
+        lifted[j * step] = a
+    turned = [Fraction(0)] * e
+    for i, a in enumerate(xs):
+        turned[i * k % e] += a
+    cases = [
+        (x + y, tuple(a + b for a, b in zip(xs, ys))),
+        (x - y, tuple(a - b for a, b in zip(xs, ys))),
+        (-x, tuple(-a for a in xs)),
+        (x * y, _reduce(e, conv)),
+        (x * q, tuple(a * q for a in xs)),
+        (x / q, tuple(a / q for a in xs)),
+        (x.lift(e * step), _reduce(e * step, lifted)),
+        (galois_apply(k, x), _reduce(e, turned)),
+    ]
+    for result, expected in cases:
+        _check_invariants(result)
+        assert result.coeffs == expected
+    _check_invariants(x - x)
+    assert hash(CycNumber.from_rational(e, q)) == hash(q)
+    assert CycNumber.from_rational(e, q) == q

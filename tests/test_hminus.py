@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from cmfields import hminus
 from cmfields.arith import is_prime
-from cmfields.characters import DirichletCharacter, all_characters
-from cmfields.cyclotomic import CycNumber, galois_apply
+from cmfields.characters import DirichletCharacter, all_characters, galois_orbits
+from cmfields.cli import main
+from cmfields.cyclotomic import CycNumber, absolute_norm, galois_apply
 from cmfields.errors import EvenCharacter, NotClosed, PrincipalCharacter
 from cmfields.fields import cyclotomic_field, is_fundamental_discriminant, quadratic_field
 from cmfields.hminus import (
@@ -31,7 +33,7 @@ def _bernoulli_by_values(chi):
     """B_(1,chi) summed over a = 1..f, each chi(a) by its discrete log."""
     chi = chi.primitivize()
     f = chi.modulus
-    acc = [Fraction(0)] * chi.order
+    acc = [0] * chi.order
     for a in range(1, f + 1):
         t = chi.value_exponent(a)
         if t is not None:
@@ -188,3 +190,43 @@ def test_report_product_identity():
         for _, norm in rep.orbit_factors:
             total *= norm
         assert total == rep.h_minus
+
+
+def test_orbit_factor_constant_on_orbits(monkeypatch):
+    # the memo keys on the representative's primitive key; the value may
+    # not depend on which member of the orbit represents it, and must be
+    # the norm taken without the memo (mod 56 has two odd orbits of one
+    # order and conductor)
+    monkeypatch.setattr(hminus, "_ORBIT_FACTORS", {})
+    for m in range(3, 60):
+        odd = [c for c in all_characters(m) if c.is_odd()]
+        for orbit in galois_orbits(odd):
+            values = {orbit_factor(c) for c in orbit}
+            assert values == {absolute_norm(-bernoulli_b1(orbit[0]) / 2)}, orbit
+
+
+def test_warm_and_cleared_memo_agree():
+    fields = [cyclotomic_field(m) for m in range(3, 61) if m % 4 != 2]
+    warm = [minus_class_number(K) for K in fields]
+    for K, report in zip(fields, warm):
+        hminus._ORBIT_FACTORS.clear()
+        assert minus_class_number(K) == report
+
+
+def test_one_bernoulli_sum_per_orbit(monkeypatch, capsys):
+    keys = []
+    original = hminus.bernoulli_b1
+
+    def counted(chi):
+        keys.append(chi.primitive_key())
+        return original(chi)
+
+    monkeypatch.setattr(hminus, "_ORBIT_FACTORS", {})
+    monkeypatch.setattr(hminus, "bernoulli_b1", counted)
+    assert main(["table", "hminus", "--zeta-range", "3..40"]) == 0
+    assert capsys.readouterr().out
+    assert keys and len(keys) == len(set(keys))
+    # partial products pick the same representatives: no new sums
+    done = len(keys)
+    minus_partial_product(cyclotomic_field(40).odd_characters())
+    assert len(keys) == done

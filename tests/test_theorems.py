@@ -12,8 +12,15 @@ from cmfields.errors import (
     NotV4CM,
     PreconditionViolated,
 )
-from cmfields.fields import cyclotomic_field, quadratic_field
+from cmfields.arith import factorize
+from cmfields.fields import (
+    AbelianField,
+    cyclotomic_field,
+    field_from_generators,
+    quadratic_field,
+)
 from cmfields.theorems import (
+    _subfields,
     check_counterexample,
     check_masley,
     check_metsankyla,
@@ -153,3 +160,35 @@ def test_summary_format():
     rep = check_masley(4, 5)
     text = rep.summary()
     assert text.startswith("[pass]") and "masley" in text
+
+
+def _subfields_by_bfs(modulus):
+    """Every subfield of Q(zeta_modulus): close each subfield found so far
+    with each character, until nothing new appears."""
+    full = cyclotomic_field(modulus)
+    subgroups = {AbelianField(full.chars[:1])}
+    frontier = list(subgroups)
+    while frontier:
+        new = []
+        for sub in frontier:
+            for chi in full.chars:
+                bigger = field_from_generators(list(sub.chars) + [chi])
+                if bigger not in subgroups:
+                    subgroups.add(bigger)
+                    new.append(bigger)
+        frontier = new
+    return subgroups
+
+
+def test_subfields_match_bfs():
+    # every prime power <= 64 and, as the acceptance gate takes the CM
+    # subfields of Q(zeta_m) for all m <= 40, the composite m <= 40 too
+    count = 0
+    for m in range(3, 65):
+        if m % 4 == 2 or (m > 40 and len(factorize(m)) > 1):
+            continue
+        fields = _subfields(m)
+        assert len(set(fields)) == len(fields), m
+        assert set(fields) == _subfields_by_bfs(m), m
+        count += len(fields)
+    assert count == 299

@@ -11,6 +11,7 @@ from cmfields.errors import NotCMField, PreconditionViolated, UnsupportedField
 from cmfields.fields import cyclotomic_field, quadratic_field
 from cmfields.hminus import minus_class_number
 from cmfields.quadratic import ideal_sqrt_of_element, is_principal
+from cmfields.theorems import _subfields
 from cmfields.unitindex import (
     RULE_CYC_COMPOSITE,
     RULE_CYC_PRIME_POWER,
@@ -130,30 +131,12 @@ def test_decomposable_rules():
 
 def test_prime_power_conductor_rule():
     # degree-4 CM field of conductor 16 inside Q(zeta_16)
-    K = cyclotomic_field(16)
-    quartics = [f for f in _subfields(K) if f.degree == 4 and f.is_cm()
+    quartics = [f for f in _subfields(16) if f.degree == 4 and f.is_cm()
                 and f.conductor == 16 and f != cyclotomic_field(16)]
     for f in quartics:
         v = hasse_unit_index(f)
         assert v.rule in (RULE_PRIME_POWER_CONDUCTOR, RULE_CYC_PRIME_POWER)
         assert v.q == 1
-
-
-def _subfields(K):
-    from cmfields.fields import field_from_generators
-
-    seen = {field_from_generators(K.chars[:1])}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for sub in frontier:
-            for chi in K.chars:
-                big = field_from_generators(list(sub.chars) + [chi])
-                if big not in seen:
-                    seen.add(big)
-                    new.append(big)
-        frontier = new
-    return seen
 
 
 def test_q2_forces_trivial_capitulation():
