@@ -54,6 +54,13 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def mobius(n: int) -> int:
+    """The Moebius function: 0 unless n is squarefree, else (-1)^(number of
+    prime factors)."""
+    parts = factorize(n)
+    return 0 if any(e > 1 for _, e in parts) else (-1) ** len(parts)
+
+
 def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(abs(n)))
 

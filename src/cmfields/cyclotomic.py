@@ -4,6 +4,9 @@ Elements are stored on the power basis 1, z, ..., z^(phi(e)-1) modulo the
 e-th cyclotomic polynomial, as integer numerators over one common
 denominator.  Everything here is exact; there is no floating point
 anywhere in this package.
+
+For even e, zeta_e^(e/2) = -1, so Phi_e divides x^(e/2) + 1 and the work
+before a reduction mod Phi_e is done in the half ring Z[x]/(x^(e/2) + 1).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import Rational, divisors, euler_phi, unit_group
+from .arith import Rational, divisors, euler_phi, mobius, unit_group
 from .errors import InternalInconsistency, NotCoprime
 
 
@@ -20,21 +23,38 @@ from .errors import InternalInconsistency, NotCoprime
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Coefficients of Phi_e, low to high; monic of degree phi(e).
 
-    Computed by exact division of x^e - 1 by Phi_d over the proper
-    divisors d of e.
+    Phi_e = prod_(d | e) (x^d - 1)^mu(e/d): multiply by the binomials with
+    mu(e/d) = +1, then divide exactly by those with mu(e/d) = -1.
     """
     if e < 1:
         raise ValueError(f"need e >= 1, got {e}")
-    if e == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (e - 1) + [1]  # x^e - 1
-    for d in divisors(e)[:-1]:
-        poly, rem = _int_poly_divmod(poly, cyclotomic_polynomial(d))
-        if any(rem):
-            raise InternalInconsistency("polynomial division left a remainder")
+    divs = divisors(e)
+    poly = [1]
+    for d in divs:
+        if mobius(e // d) == 1:
+            low, poly = poly, [0] * d + poly
+            for i, c in enumerate(low):
+                poly[i] -= c
+    for d in divs:
+        if mobius(e // d) == -1:
+            poly = _divide_binomial(poly, d)
     if len(poly) != euler_phi(e) + 1 or poly[-1] != 1:
         raise InternalInconsistency(f"Phi_{e} is not monic of degree phi({e})")
     return tuple(poly)
+
+
+def _divide_binomial(p: list[int], d: int) -> list[int]:
+    """p / (x^d - 1), which must leave no remainder.
+
+    p = q * (x^d - 1) reads p_i = q_(i-d) - q_i, so q_i = q_(i-d) - p_i from
+    the bottom up, and the top d coefficients of p must equal q's top d.
+    """
+    q = [0] * (len(p) - d)
+    for i in range(len(q)):
+        q[i] = (q[i - d] if i >= d else 0) - p[i]
+    if any(p[i] != (q[i - d] if i >= d else 0) for i in range(len(q), len(p))):
+        raise InternalInconsistency("polynomial division left a remainder")
+    return q
 
 
 def _int_poly_divmod(num: list[int], den: tuple[int, ...]
@@ -43,15 +63,31 @@ def _int_poly_divmod(num: list[int], den: tuple[int, ...]
     num at least deg(den) long."""
     num = list(num)
     dn = len(den) - 1
+    terms = [(j, dj) for j, dj in enumerate(den[:-1]) if dj]
     quot = [0] * (len(num) - dn)
     for i in range(len(quot) - 1, -1, -1):
         c = num[i + dn]
         quot[i] = c
         if c:
-            for j, dj in enumerate(den):
-                if dj:
-                    num[i + j] -= c * dj
+            for j, dj in terms:
+                num[i + j] -= c * dj
     return quot, num[:dn]
+
+
+def _fold(level: int, coeffs) -> list[int]:
+    """sum_j coeffs[j] x^j in Z[x]/(x^h + 1), h = level/2, for even level,
+    and in Z[x]/(x^level - 1) for odd level (exponents only reduced mod
+    level).  Either ring maps onto Q(zeta_level)."""
+    h = level // 2 if level % 2 == 0 else level
+    folded = [0] * h
+    for j, c in enumerate(coeffs):
+        if c:
+            j %= level
+            if j < h:
+                folded[j] += c
+            else:
+                folded[j - h] -= c
+    return folded
 
 
 class CycNumber:
@@ -111,15 +147,11 @@ class CycNumber:
         """Build (sum_j coeffs[j] * zeta^j) / den from integer coefficients
         of any length (exponents taken mod level) and a nonzero integer den.
 
-        The coefficients are folded mod x^level - 1 and reduced once mod
-        Phi_level."""
+        The coefficients are folded into the half ring (`_fold`) and
+        reduced once mod Phi_level."""
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        folded = [0] * level
-        for j, c in enumerate(coeffs):
-            if c:
-                folded[j % level] += c
-        _, rem = _int_poly_divmod(folded, cyclotomic_polynomial(level))
+        _, rem = _int_poly_divmod(_fold(level, coeffs), cyclotomic_polynomial(level))
         return cls._from_ints(level, rem, den)
 
     @property
@@ -218,9 +250,12 @@ class CycNumber:
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.as_rational())
-        return hash((self.level, self.num, self.den))
+        """Hash of the normalized trace Tr(x)/phi(e).  It does not depend on
+        the level that holds x, so elements equal across levels hash equal,
+        and on a rational q it is q itself."""
+        weights = _trace_weights(self.level)
+        return hash(Fraction(sum(c * w for c, w in zip(self.num, weights) if c),
+                             self.den))
 
     def __repr__(self):
         return f"CycNumber(level={self.level}, coeffs={[str(c) for c in self.coeffs]})"
@@ -240,6 +275,13 @@ class CycNumber:
         return CycNumber.from_power_coeffs(new_level, acc, self.den)
 
 
+@lru_cache(maxsize=None)
+def _trace_weights(e: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_e^i)/phi(e) = mu(e/g)/phi(e/g), g = gcd(i, e), for i < phi(e)."""
+    return tuple(Fraction(mobius(e // g), euler_phi(e // g))
+                 for g in (math.gcd(i, e) for i in range(euler_phi(e))))
+
+
 def galois_apply(k: int, x: CycNumber) -> CycNumber:
     """The automorphism zeta -> zeta^k of Q(zeta_e), gcd(k, e) = 1."""
     e = x.level
@@ -255,16 +297,23 @@ def galois_apply(k: int, x: CycNumber) -> CycNumber:
 def absolute_norm(x: CycNumber) -> Rational:
     """Product of all Galois conjugates of x; certified rational.
 
-    Computed on the numerators in Z[x]/(x^n - 1), n = x.level.
-    That ring maps onto Q(zeta_n) by a ring map commuting with every
-    sigma_k, and there sigma_k only permutes coefficients (i -> i*k mod n).
-    For each canonical generator g of order o of (Z/nZ)*, P becomes
-    prod_(j<o) sigma_(g^j)(P), built by the binary digits of o.  One
-    reduction mod Phi_n at the end must leave a rational c, and the norm
-    is c / den^phi(n).
+    Computed on the numerators in the half ring Z[x]/(x^h + 1), h = n/2,
+    for the even level n = x.level.  An odd level n is first lifted to 2n
+    by zeta_n -> -zeta_2n: Q(zeta_n) = Q(zeta_2n), and -zeta_2n is a
+    primitive n-th root of unity, so the image is a conjugate of x with
+    the same norm.  The half ring maps onto Q(zeta_n) by a ring map
+    commuting with every sigma_k, and there sigma_k is a signed permutation
+    of the coefficients (`_sigma`).  For each canonical generator g of
+    order o of (Z/nZ)*, P becomes prod_(j<o) sigma_(g^j)(P), built by the
+    binary digits of o.  One reduction mod Phi_n at the end must leave a
+    rational c, and the norm is c / den^phi(n).
     """
     n = x.level
-    poly = list(x.num) + [0] * (n - len(x.num))
+    poly = list(x.num)
+    if n % 2:
+        poly = [-c if i % 2 else c for i, c in enumerate(poly)]
+        n *= 2
+    poly += [0] * (n // 2 - len(poly))
     ug = unit_group(n)
     for g, o in zip(ug.generators, ug.orders):
         poly = _orbit_product(poly, g, o)
@@ -275,61 +324,67 @@ def absolute_norm(x: CycNumber) -> Rational:
 
 
 def _orbit_product(p: list[int], g: int, o: int) -> list[int]:
-    """prod_(j<o) sigma_(g^j)(p) in Z[x]/(x^n - 1), n = len(p).
+    """prod_(j<o) sigma_(g^j)(p) in Z[x]/(x^h + 1), h = len(p).
 
     With T_k = prod_(j<k) sigma_(g^j)(p): T_2k = T_k * sigma_(g^k)(T_k) and
     T_(k+1) = p * sigma_g(T_k), taken over the binary digits of o.
     """
-    n = len(p)
+    n = 2 * len(p)
     t, k = p, 1
     for bit in bin(o)[3:]:
-        t = _cyclic_mul(t, _sigma(pow(g, k, n), t))
+        t = _negacyclic_mul(t, _sigma(pow(g, k, n), t))
         k *= 2
         if bit == "1":
-            t = _cyclic_mul(p, _sigma(g, t))
+            t = _negacyclic_mul(p, _sigma(g, t))
             k += 1
     return t
 
 
 def _sigma(k: int, p: list[int]) -> list[int]:
-    """x -> x^k on Z[x]/(x^n - 1): coefficient i moves to i*k mod n."""
-    n = len(p)
-    out = [0] * n
+    """x -> x^k on Z[x]/(x^h + 1), k odd: coefficient i moves to
+    j = i*k mod 2h, negated and taken to j - h when j >= h (x^h = -1)."""
+    h = len(p)
+    n = 2 * h
+    out = [0] * h
     for i, c in enumerate(p):
-        out[i * k % n] = c
+        j = i * k % n
+        if j < h:
+            out[j] = c
+        else:
+            out[j - h] = -c
     return out
 
 
-def _cyclic_mul(a: list[int], b: list[int]) -> list[int]:
-    """a * b in Z[x]/(x^n - 1) as one big-int product.
+def _negacyclic_mul(a: list[int], b: list[int]) -> list[int]:
+    """a * b in Z[x]/(x^h + 1) as one big-int product.
 
     Kronecker substitution: evaluate at x = 2^bits with bits so wide that
-    every coefficient of the product, folded mod x^n - 1, is below
+    every coefficient of the product, folded mod x^h + 1, is below
     2^(bits-1) in absolute value, and read the digits back signed.
     """
-    n = len(a)
+    h = len(a)
     ma, mb = max(map(abs, a)), max(map(abs, b))
-    bound = max(n * ma * mb, ma, mb)  # the inputs are packed at this width too
+    bound = max(h * ma * mb, ma, mb)  # the inputs are packed at this width too
     width = (bound.bit_length() + 8) // 8  # bytes per digit
     bits = 8 * width
     half = 1 << (bits - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    offset = int.from_bytes(half.to_bytes(width, "little") * h, "little")
 
     def pack(v):
         raw = b"".join((c + half).to_bytes(width, "little") for c in v)
         return int.from_bytes(raw, "little") - offset
 
     prod = pack(a) * pack(b)
-    # fold x^n = 1: the low n digits read as a signed number, plus the rest
-    size = bits * n
+    # fold x^h = -1: the low h digits read as a signed number, minus the rest
+    size = bits * h
     low = prod & ((1 << size) - 1)
     high = prod >> size
     if low >= 1 << (size - 1):
         low -= 1 << size
         high += 1
-    raw = (low + high + offset).to_bytes(width * n, "little")
+    raw = (low - high + offset).to_bytes(width * h, "little")
     return [int.from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, width * n, width)]
+            for i in range(0, width * h, width)]
 
 
 def pi_element(m: int) -> CycNumber:

@@ -321,11 +321,11 @@ def sweep_masley(max_modulus: int = 60) -> list[CheckReport]:
 
 def sweep_v4(max_product: int = 2000) -> list[CheckReport]:
     reports = []
-    negatives = fundamental_discriminants(-max_product, -3)
-    for d1 in sorted(negatives, key=abs):
-        for d2 in sorted(negatives, key=abs):
-            if abs(d2) <= abs(d1) or abs(d1 * d2) > max_product:
-                continue
+    negatives = sorted(fundamental_discriminants(-max_product, -3), key=abs)
+    for i, d1 in enumerate(negatives):
+        for d2 in negatives[i + 1:]:
+            if abs(d1 * d2) > max_product:
+                break
             if math.gcd(d1, d2) != 1:
                 continue
             try:

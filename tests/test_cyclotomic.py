@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,30 @@ def test_cyclotomic_polynomial_examples():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def _phi_by_division(e):
+    """Phi_e as x^e - 1 divided by Phi_d over the proper divisors d of e."""
+    poly = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d == 0:
+            den = _phi_by_division(d)
+            n = len(den) - 1
+            quot = [0] * (len(poly) - n)
+            for i in range(len(quot) - 1, -1, -1):
+                c = quot[i] = poly[i + n]
+                if c:
+                    for j, dj in enumerate(den):
+                        poly[i + j] -= c * dj
+            assert not any(poly[:n])
+            poly = quot
+    return tuple(poly)
+
+
+def test_cyclotomic_polynomial_matches_division():
+    for e in range(1, 400):
+        assert cyclotomic_polynomial(e) == _phi_by_division(e), e
 
 
 def test_cyclotomic_polynomial_degree_and_monic():
@@ -129,6 +154,19 @@ def test_absolute_norm_matches_conjugates(e, data):
     keep = data.draw(st.integers(min_value=0, max_value=n))
     x = CycNumber(e, coeffs[:keep] + [0] * (n - keep))
     assert absolute_norm(x) == _norm_by_conjugates(x)
+
+
+def test_absolute_norm_sweep_matches_conjugates():
+    # every level 1..72: odd levels take the lift to 2n, and n = 0 and
+    # n = 2 mod 4 both occur; a dense element with odd and even powers
+    for e in range(1, 73):
+        n = euler_phi(e)
+        coeffs = [Fraction((3 * i * i + 5 * i + 7 * e) % 9 - 4, 1 + i % 3)
+                  for i in range(n)]
+        x = CycNumber(e, coeffs)
+        assert absolute_norm(x) == _norm_by_conjugates(x), e
+        y = CycNumber.from_rational(e, 2) - CycNumber.zeta(e, 1)
+        assert absolute_norm(y) == _norm_by_conjugates(y), e
 
 
 def test_absolute_norm_examples():
@@ -245,3 +283,19 @@ def test_integer_representation_matches_fractions(e, data):
     _check_invariants(x - x)
     assert hash(CycNumber.from_rational(e, q)) == hash(q)
     assert CycNumber.from_rational(e, q) == q
+
+
+def test_hash_agrees_across_levels():
+    z5 = CycNumber.zeta(5)
+    assert z5 == z5.lift(15)
+    assert len({z5, z5.lift(15)}) == 1
+    assert hash(CycNumber.zeta(12, 5)) == hash(CycNumber.zeta(12, 5).lift(60))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=24), st.integers(min_value=2, max_value=4),
+       st.data())
+def test_hash_is_level_independent(e, k, data):
+    n = euler_phi(e)
+    x = CycNumber(e, data.draw(st.lists(_fractions, min_size=n, max_size=n)))
+    assert hash(x) == hash(x.lift(k * e))
