@@ -18,10 +18,13 @@ class DirichletCharacter:
     """A character mod m, chi(g_i) = zeta_{order_i}^{exponents_i}.
 
     Hashable and compared by (modulus, exponents); use `primitive_key` to
-    compare characters living at different moduli.
+    compare characters living at different moduli.  The conductor, the
+    primitive character and the parity are worked out on first use and
+    kept; a primitive character is its own primitive and stores none.
     """
 
-    __slots__ = ("modulus", "exponents", "order", "_conductor")
+    __slots__ = ("modulus", "exponents", "order", "_conductor", "_primitive",
+                 "_parity")
 
     def __init__(self, modulus: int, exponents):
         ug = unit_group(modulus)
@@ -38,6 +41,8 @@ class DirichletCharacter:
             1, *(o // math.gcd(o, e) for e, o in zip(exponents, ug.orders))
         )
         self._conductor = None
+        self._primitive = None
+        self._parity = None
 
     # -- identity --------------------------------------------------------
 
@@ -88,10 +93,12 @@ class DirichletCharacter:
         -1 is g^(o/2) for the generator g of an odd block and is the
         generator -1 (3 mod 4) of a 2-power block, so chi(-1) = (-1)^s with
         s the sum of the exponents on those generators."""
-        ug = unit_group(self.modulus)
-        s = sum(e for e, g, q in zip(self.exponents, ug.generators, ug.blocks)
-                if q % 2 or g % 4 == 3)
-        return -1 if s % 2 else 1
+        if self._parity is None:
+            ug = unit_group(self.modulus)
+            s = sum(e for e, g, q in zip(self.exponents, ug.generators,
+                                         ug.blocks) if q % 2 or g % 4 == 3)
+            self._parity = -1 if s % 2 else 1
+        return self._parity
 
     def is_odd(self) -> bool:
         return self.parity() == -1
@@ -127,8 +134,16 @@ class DirichletCharacter:
         return self._conductor
 
     def primitivize(self) -> "DirichletCharacter":
-        """The primitive character mod conductor inducing chi."""
-        return self.at_modulus(self.conductor())
+        """The primitive character mod conductor inducing chi; the same
+        object on every call, and chi itself when chi is primitive."""
+        prim = self._primitive
+        if prim is None:
+            f = self.conductor()
+            if f == self.modulus:
+                return self
+            prim = self._primitive = self.at_modulus(f)
+            prim._conductor = f
+        return prim
 
     def at_modulus(self, f: int) -> "DirichletCharacter":
         """chi viewed at any modulus f that its conductor divides.
@@ -196,22 +211,31 @@ def all_characters(modulus: int) -> list[DirichletCharacter]:
 
 
 def galois_orbits(chars) -> list[list[DirichletCharacter]]:
-    """Partition a conjugation-closed set under chi -> chi^k, gcd(k, ord)=1."""
-    remaining = set(chars)
-    universe = set(chars)
+    """Partition a conjugation-closed set under chi -> chi^k, gcd(k, ord)=1.
+
+    Orbits come in increasing (modulus, exponents) order of their first
+    member, and members in increasing k; the members are the input objects.
+    chi^k has exponents k * e_i mod o_i, so conjugates are found by key
+    without building a character."""
+    index = {(c.modulus, c.exponents): c for c in chars}
+    seen = set()
     orbits = []
-    while remaining:
-        rep = min(remaining, key=lambda c: (c.modulus, c.exponents))
+    for key in sorted(index):
+        if key in seen:
+            continue
+        m, exps = key
+        n = index[key].order
+        orders = unit_group(m).orders
         orbit = []
-        for k in range(1, rep.order + 1):
-            if math.gcd(k, max(rep.order, 1)) == 1:
-                conj = char_pow(rep, k)
-                if conj not in universe:
-                    raise NotClosed(f"{conj.encode()} missing from the set")
-                if conj not in remaining:
-                    continue
-                remaining.discard(conj)
-                orbit.append(conj)
+        for k in range(1, n + 1):
+            if math.gcd(k, n) != 1:
+                continue
+            conj = (m, tuple(k * e % o for e, o in zip(exps, orders)))
+            if conj not in index:
+                missing = DirichletCharacter(*conj).encode()
+                raise NotClosed(f"{missing} missing from the set")
+            seen.add(conj)
+            orbit.append(index[conj])
         orbits.append(orbit)
     return orbits
 

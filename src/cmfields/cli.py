@@ -172,10 +172,14 @@ def _print_csv(rows) -> None:
 
 def _zeta_range(text: str) -> range:
     lo, _, hi = text.partition("..")
-    try:
-        return range(int(lo), int(hi) + 1)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
+    # ASCII digits only: int() also reads '٣' as 3 and '3_0' as 30
+    if not all(s.isascii() and s.isdigit() for s in (lo, hi)):
+        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}")
+    lo, hi = int(lo), int(hi)
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(
+            f"expected A..B with 1 <= A <= B, got {text!r}")
+    return range(lo, hi + 1)
 
 
 def _table_specs(args) -> list[str]:

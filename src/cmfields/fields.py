@@ -35,10 +35,12 @@ class AbelianField:
     """A finite group of Dirichlet characters at a common modulus.
 
     Immutable; the constructor assumes the set is multiplicatively closed
-    (use `field_from_generators` to close an arbitrary set).
+    (use `field_from_generators` to close an arbitrary set).  The odd
+    characters are picked out once, on first use.
     """
 
-    __slots__ = ("chars", "modulus", "conductor", "degree", "_prim_keys")
+    __slots__ = ("chars", "modulus", "conductor", "degree", "_prim_keys",
+                 "_odd")
 
     def __init__(self, chars):
         chars = tuple(sorted(set(chars), key=lambda c: c.exponents))
@@ -54,6 +56,7 @@ class AbelianField:
         self.conductor = math.lcm(1, *(c.conductor() for c in chars))
         self.degree = len(chars)
         self._prim_keys = frozenset(c.primitive_key() for c in chars)
+        self._odd = None
 
     def __eq__(self, other):
         return isinstance(other, AbelianField) and self._prim_keys == other._prim_keys
@@ -72,11 +75,16 @@ class AbelianField:
 
     # -- CM structure ----------------------------------------------------
 
+    def _odd_chars(self) -> tuple[DirichletCharacter, ...]:
+        if self._odd is None:
+            self._odd = tuple(c for c in self.chars if c.is_odd())
+        return self._odd
+
     def odd_characters(self) -> list[DirichletCharacter]:
-        return [c for c in self.chars if c.is_odd()]
+        return list(self._odd_chars())
 
     def is_cm(self) -> bool:
-        return bool(self.odd_characters())
+        return bool(self._odd_chars())
 
     def maximal_real_subfield(self) -> "AbelianField":
         return AbelianField([c for c in self.chars if not c.is_odd()])

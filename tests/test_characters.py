@@ -1,5 +1,6 @@
 """Dirichlet character construction, evaluation, conductor, orbits."""
 
+import gc
 import math
 import os
 import subprocess
@@ -21,6 +22,7 @@ from cmfields.characters import (
 )
 from cmfields.cyclotomic import CycNumber, galois_apply
 from cmfields.errors import LengthMismatch, NotClosed
+from cmfields.theorems import _subfields
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -177,6 +179,85 @@ def test_galois_orbits_rejects_open_sets():
     chi = DirichletCharacter(5, [1])  # order 4, conjugate chi^3 missing
     with pytest.raises(NotClosed):
         galois_orbits([chi])
+
+
+def _orbits_by_char_pow(chars):
+    """Galois orbits by building every conjugate chi^k with `char_pow`,
+    each orbit started from the smallest remaining (modulus, exponents)."""
+    remaining = set(chars)
+    universe = set(chars)
+    orbits = []
+    while remaining:
+        rep = min(remaining, key=lambda c: (c.modulus, c.exponents))
+        orbit = []
+        for k in range(1, rep.order + 1):
+            if math.gcd(k, max(rep.order, 1)) == 1:
+                conj = char_pow(rep, k)
+                if conj not in universe:
+                    raise NotClosed(f"{conj.encode()} missing from the set")
+                if conj not in remaining:
+                    continue
+                remaining.discard(conj)
+                orbit.append(conj)
+        orbits.append(orbit)
+    return orbits
+
+
+def _assert_orbits_match_oracle(chars):
+    orbits = galois_orbits(chars)
+    assert orbits == _orbits_by_char_pow(chars)
+    inputs = {id(c) for c in chars}
+    assert all(id(c) in inputs for orbit in orbits for c in orbit)
+
+
+def test_galois_orbits_match_char_pow():
+    for m in range(1, 120):
+        chars = all_characters(m)
+        _assert_orbits_match_oracle(chars)
+        _assert_orbits_match_oracle([c for c in chars if c.is_odd()])
+    fields = 0
+    for m in range(1, 41):
+        for K in _subfields(m):
+            _assert_orbits_match_oracle(list(K.chars))
+            _assert_orbits_match_oracle(K.odd_characters())
+            fields += 1
+    assert fields == 279
+
+
+def test_galois_orbits_name_the_missing_conjugate():
+    cases = [
+        ([DirichletCharacter(5, [1])], "f=5:e=3"),
+        ([DirichletCharacter(40, [1, 0, 1])], "f=40:e=1,0,3"),
+        ([DirichletCharacter(7, [1]), DirichletCharacter(5, [1]),
+          DirichletCharacter(5, [3])], "f=7:e=5"),
+    ]
+    for chars, missing in cases:
+        with pytest.raises(NotClosed) as oracle:
+            _orbits_by_char_pow(chars)
+        with pytest.raises(NotClosed) as exc:
+            galois_orbits(chars)
+        assert str(exc.value) == str(oracle.value) == f"{missing} missing from the set"
+
+
+def test_cached_invariants_match_fresh_characters():
+    count = 0
+    for m in range(1, 200):
+        for chi in all_characters(m):
+            prim = chi.primitivize()
+            assert chi.primitivize() is prim
+            fresh = DirichletCharacter(m, chi.exponents)
+            assert prim == fresh.at_modulus(fresh.conductor())
+            assert prim.conductor() == prim.modulus == chi.conductor()
+            assert prim.primitivize() is prim
+            if chi.conductor() == m:
+                assert prim is chi
+            # a primitive character does not keep a reference to itself
+            assert all(r is not prim for r in gc.get_referents(prim))
+            assert chi.primitive_key() == (prim.modulus, prim.exponents)
+            oracle = 1 if chi.value_exponent(m - 1) == 0 else -1
+            assert chi.parity() == oracle and chi.parity() == oracle, chi
+            count += 1
+    assert count == sum(euler_phi(m) for m in range(1, 200))
 
 
 def test_orbit_members_share_conductor_and_parity():

@@ -163,6 +163,10 @@ def test_error_exit_code(capsys):
     "verify counterexample 3 1",
     "table hminus --zeta-range abc",
     "table hminus --zeta-range 3",
+    "table hminus --zeta-range 10..3",
+    "table hminus --zeta-range 0..4",
+    "table hminus --zeta-range \u0663..\u0665",
+    "table hminus --zeta-range 3_0..3_1",
     "hminus --field chars:f=0:e=",
     "unit-index --field chars:f=-5:e=1",
     "verify martinet --max 0",

@@ -128,6 +128,15 @@ def test_odd_even_split_for_cm():
         assert len(K.odd_characters()) == K.degree // 2
 
 
+def test_odd_characters_is_a_fresh_list():
+    K = cyclotomic_field(20)
+    odd = K.odd_characters()
+    assert odd == [c for c in K.chars if c.value_exponent(-1) != 0]
+    odd.clear()
+    assert K.odd_characters() is not odd
+    assert len(K.odd_characters()) == K.degree // 2 and K.is_cm()
+
+
 def test_roots_of_unity_examples():
     assert cyclotomic_field(12).roots_of_unity_order() == 12
     qi_s5 = quadratic_field(-4).compositum(quadratic_field(5))

@@ -230,3 +230,31 @@ def test_one_bernoulli_sum_per_orbit(monkeypatch, capsys):
     done = len(keys)
     minus_partial_product(cyclotomic_field(40).odd_characters())
     assert len(keys) == done
+
+
+def test_table_builds_each_primitive_once(monkeypatch, capsys):
+    from cmfields import characters
+
+    pow_calls = []
+    built = {}  # id -> (character, primitives built from it)
+    original_pow = characters.char_pow
+    original_at = DirichletCharacter.at_modulus
+
+    def counted_pow(chi, k):
+        pow_calls.append((chi, k))
+        return original_pow(chi, k)
+
+    def counted_at(self, f):
+        if f != self.modulus and f == self.conductor():
+            entry = built.setdefault(id(self), [self, 0])
+            entry[1] += 1
+        return original_at(self, f)
+
+    monkeypatch.setattr(hminus, "_ORBIT_FACTORS", {})
+    monkeypatch.setattr(characters, "char_pow", counted_pow)
+    monkeypatch.setattr(DirichletCharacter, "at_modulus", counted_at)
+    assert main(["table", "hminus", "--zeta-range", "3..40"]) == 0
+    assert capsys.readouterr().out
+    assert pow_calls == []
+    assert built and max(n for _, n in built.values()) == 1
+
