@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InternalInconsistency, PreconditionViolated
+from .errors import DegreeBoundExceeded, InternalInconsistency, PreconditionViolated
 
 Rational = Fraction
 
@@ -143,6 +143,26 @@ def kronecker(a: int, n: int) -> int:
             sign = -sign
         a %= n
     return sign if n == 1 else 0
+
+
+def subgroup(orders, gens, max_size=None) -> set[tuple[int, ...]]:
+    """The subgroup of Z/o_1 x ... x Z/o_r generated by exponent vectors.
+
+    Closes by cosets: H + <g> is the union of the cosets k g + H, up to the
+    first multiple k g already in H.  Raises DegreeBoundExceeded as soon as
+    the group would grow past max_size.
+    """
+    group = {(0,) * len(orders)}
+    for g in gens:
+        g = tuple(x % o for x, o in zip(g, orders))
+        base, power = list(group), g
+        while power not in group:
+            if max_size is not None and len(group) + len(base) > max_size:
+                raise DegreeBoundExceeded(f"degree exceeds bound {max_size}")
+            group.update(tuple((x + y) % o for x, y, o in zip(power, h, orders))
+                         for h in base)
+            power = tuple((x + y) % o for x, y, o in zip(power, g, orders))
+    return group
 
 
 @dataclass(frozen=True)

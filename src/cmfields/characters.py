@@ -7,6 +7,7 @@ canonical generator order) is stable across runs and versions.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .arith import discrete_log_table, unit_group
@@ -138,7 +139,7 @@ class DirichletCharacter:
         object on every call, and chi itself when chi is primitive."""
         prim = self._primitive
         if prim is None:
-            f = self.conductor()
+            f = self._conductor or self.conductor()
             if f == self.modulus:
                 return self
             prim = self._primitive = self.at_modulus(f)
@@ -197,17 +198,11 @@ def char_pow(chi: DirichletCharacter, k: int) -> DirichletCharacter:
 
 
 def all_characters(modulus: int) -> list[DirichletCharacter]:
-    """The full character group mod m, in lexicographic exponent order."""
-    ug = unit_group(modulus)
-    chars = [principal_character(modulus)]
-    for i, o in enumerate(ug.orders):
-        base = list(chars)
-        for k in range(1, o):
-            for c in base:
-                e = list(c.exponents)
-                e[i] = k
-                chars.append(DirichletCharacter(modulus, e))
-    return chars
+    """The full character group mod m, the exponent on the first generator
+    varying fastest: mod 15 it runs (0, 0), (1, 0), (0, 1), (1, 1), ..."""
+    orders = reversed(unit_group(modulus).orders)
+    return [DirichletCharacter(modulus, e[::-1])
+            for e in itertools.product(*map(range, orders))]
 
 
 def galois_orbits(chars) -> list[list[DirichletCharacter]]:

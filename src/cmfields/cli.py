@@ -253,10 +253,10 @@ def cmd_verify(args) -> int:
         else:
             bound = _sweep_bound(args, 200)
             primes = [p for p in range(2, bound + 1) if p % 8 == 1 and is_prime(p)]
-        out = []
-        for p in primes:
-            rep = martinet_pair(p)
-            out.append(rep)
+        # every pair is built before the first line is printed, so a field
+        # error exits 2 with nothing on stdout
+        out = [martinet_pair(p, args.max_degree) for p in primes]
+        for rep in out:
             status = "skip (norm -1)" if rep.unit_norm == -1 else "pass"
             print(f"[{status}] martinet p={rep.p} norm={rep.unit_norm} "
                   f"Q_K={rep.q_biquadratic} Q_L={rep.q_octic}")
@@ -278,7 +278,7 @@ def cmd_verify(args) -> int:
         reports = [check_masley(m, n, args.max_degree)]
     elif check == "v4":
         d1, d2 = _verify_params(check, args.params, 2)
-        reports = [check_v4(d1, d2)]
+        reports = [check_v4(d1, d2, args.max_degree)]
     elif check == "metsankyla":
         m1, m2 = _verify_params(check, args.params, 2, positive=True)
         fields = [cyclotomic_field(m, args.max_degree) for m in (m1, m2)]
@@ -287,10 +287,10 @@ def cmd_verify(args) -> int:
         family, *rest = args.params or [None]
         if family == 1:
             d1, d2 = _verify_params("counterexample 1", rest, 2)
-            reports = [check_counterexample(1, d1=d1, d2=d2)]
+            reports = [check_counterexample(1, args.max_degree, d1=d1, d2=d2)]
         elif family == 2:
             (m,) = _verify_params("counterexample 2", rest, 1)
-            reports = [check_counterexample(2, m=m)]
+            reports = [check_counterexample(2, args.max_degree, m=m)]
         else:
             raise PreconditionViolated("verify counterexample needs family 1 or 2")
 

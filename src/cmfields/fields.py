@@ -8,13 +8,8 @@ from __future__ import annotations
 
 import math
 
-from .arith import euler_phi, factorize, is_squarefree, kronecker, unit_group
-from .characters import (
-    DirichletCharacter,
-    all_characters,
-    char_mul,
-    principal_character,
-)
+from .arith import euler_phi, factorize, is_squarefree, kronecker, subgroup, unit_group
+from .characters import DirichletCharacter, all_characters, principal_character
 from .errors import (
     DegreeBoundExceeded,
     InternalInconsistency,
@@ -94,14 +89,17 @@ class AbelianField:
 
         Q(zeta_n) is the compositum of its prime-power layers Q(zeta_q), so
         w is the product over p | 2 * conductor of the largest p^j with
-        Q(zeta_(p^j)) inside the field.  Q(zeta_2) = Q: the 2-part is >= 2.
+        Q(zeta_(p^j)) inside the field.  The characters of the field with
+        conductor dividing q form a subgroup of the phi(q) characters mod q,
+        so Q(zeta_q) lies in the field exactly when there are phi(q) of
+        them.  Q(zeta_2) = Q: the 2-part is >= 2.
         """
+        conductors = [c.conductor() for c in self.chars]
         w = 1
         for p, e in factorize(2 * self.conductor):
             q = 1
-            while q < p**e and all(
-                self.contains_character(chi) for chi in _dual_generators(q * p)
-            ):
+            while q < p**e and (sum(q * p % f == 0 for f in conductors)
+                                == euler_phi(q * p)):
                 q *= p
             w *= q
         return w
@@ -124,23 +122,21 @@ class AbelianField:
     def prime_power_decomposition(self):
         """Split into fields of prime-power conductor when the character
         group is the direct product of its prime-power projections;
-        None when the field is non-decomposable."""
-        trivial = principal_character(1).primitive_key()
-        parts = {p: {trivial} for p, _ in factorize(self.conductor)}
-        for chi in self.chars:
-            for p, key in _prime_power_components(chi):
-                parts[p].add(key)
-        total = 1
-        components = []
-        for p in sorted(parts):
-            keys = parts[p]
-            m = math.lcm(1, *(k[0] for k in keys))
-            comp_chars = [DirichletCharacter(f, e).at_modulus(m) for f, e in keys]
-            total *= len(comp_chars)
-            components.append(AbelianField(comp_chars))
-        if total != self.degree:
+        None when the field is non-decomposable.
+
+        The p-component is the set of p-block slices of the exponent
+        vectors, read as characters mod that block of the modulus."""
+        blocks = unit_group(self.modulus).blocks
+        parts = {}
+        for q in dict.fromkeys(blocks):
+            slices = {tuple(e for e, b in zip(c.exponents, blocks) if b == q)
+                      for c in self.chars}
+            if len(slices) > 1:
+                parts[q] = slices
+        if math.prod(map(len, parts.values())) != self.degree:
             return None
-        return components
+        return [AbelianField(DirichletCharacter(q, e) for e in slices)
+                for q, slices in parts.items()]
 
     def two_primary_subfield(self) -> "AbelianField":
         """Field of the 2-Sylow subgroup of the character group; has odd
@@ -158,27 +154,6 @@ class AbelianField:
         return sorted(out, key=abs)
 
 
-def _dual_generators(q: int) -> list[DirichletCharacter]:
-    """Generators of the character group mod q: chi_i(g_j) = zeta^[i == j]
-    on the canonical generators g_j of (Z/qZ)*."""
-    k = len(unit_group(q).generators)
-    return [DirichletCharacter(q, [int(i == j) for j in range(k)])
-            for i in range(k)]
-
-
-def _prime_power_components(chi: DirichletCharacter):
-    """chi as a product of primitive characters of prime-power modulus, one
-    per prime p dividing its conductor, as (p, primitive key) pairs: the
-    block slices of the primitive exponent vector."""
-    chi = chi.primitivize()
-    blocks = unit_group(chi.modulus).blocks
-    out = []
-    for p, k in factorize(chi.modulus):
-        exps = tuple(e for e, b in zip(chi.exponents, blocks) if b == p**k)
-        out.append((p, (p**k, exps)))
-    return out
-
-
 def field_from_generators(
     gens, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> AbelianField:
@@ -187,18 +162,9 @@ def field_from_generators(
     if not gens:
         raise ValueError("need at least one generator")
     m = normalize_cyclotomic_modulus(math.lcm(1, *(g.conductor() for g in gens)))
-    group = {principal_character(m)}
-    for g in gens:
-        # group * <g> is the union of the cosets g^k * group, up to the
-        # first power of g that is already in the group
-        g = g.at_modulus(m)
-        base, power = list(group), g
-        while power not in group:
-            if len(group) + len(base) > max_degree:
-                raise DegreeBoundExceeded(f"degree exceeds bound {max_degree}")
-            group.update(char_mul(power, c) for c in base)
-            power = char_mul(power, g)
-    return AbelianField(group)
+    group = subgroup(unit_group(m).orders,
+                     [g.at_modulus(m).exponents for g in gens], max_degree)
+    return AbelianField(DirichletCharacter(m, e) for e in group)
 
 
 def cyclotomic_field(m: int, max_degree: int = DEFAULT_MAX_DEGREE) -> AbelianField:

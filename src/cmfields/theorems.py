@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from .arith import divisors, factorize, unit_group
+from .arith import divisors, factorize, subgroup, unit_group
 from .characters import DirichletCharacter, principal_character
 from .errors import (
     DegreeBoundExceeded,
@@ -115,7 +115,7 @@ def _w_quadratic(d: int) -> int:
     return {-4: 4, -3: 6}.get(d, 2)
 
 
-def check_v4(d1: int, d2: int) -> CheckReport:
+def check_v4(d1: int, d2: int, max_degree: int = DEFAULT_MAX_DEGREE) -> CheckReport:
     """Both sides of the biquadratic identity
     h-(L) = (Q(L)/(Q1 Q2)) (w_L/(w1 w2)) h-(K1) h-(K2)
     for L = Q(sqrt(d1), sqrt(d2)) with two imaginary quadratic subfields."""
@@ -124,7 +124,7 @@ def check_v4(d1: int, d2: int) -> CheckReport:
             raise NotFundamentalDiscriminant(str(d))
     if not (d1 < 0 and d2 < 0 and d1 != d2):
         raise NotV4CM("need two distinct negative fundamental discriminants")
-    L = quadratic_field(d1).compositum(quadratic_field(d2))
+    L = quadratic_field(d1).compositum(quadratic_field(d2), max_degree)
     if L.degree != 4:
         raise InternalInconsistency(f"Q(sqrt {d1}, sqrt {d2}) has degree {L.degree}")
     report = minus_class_number(L)
@@ -236,7 +236,9 @@ def check_metsankyla(
 # counterexample families
 
 
-def check_counterexample(family: int, **params) -> CheckReport:
+def check_counterexample(
+    family: int, max_degree: int = DEFAULT_MAX_DEGREE, **params
+) -> CheckReport:
     """Families where h-(K) does not divide h-(L) for K inside L.
 
     family 1: K = Q(sqrt(d1 d2)), L = Q(sqrt(d1), sqrt(d2)) with d1 a
@@ -273,7 +275,7 @@ def check_counterexample(family: int, **params) -> CheckReport:
 
     dk = _fundamental_part(d1 * d2)
     K = quadratic_field(dk)
-    L = quadratic_field(d1).compositum(quadratic_field(d2))
+    L = quadratic_field(d1).compositum(quadratic_field(d2), max_degree)
     h_k = minus_class_number(K).h_minus
     h_l = minus_class_number(L).h_minus
     return CheckReport(
@@ -351,10 +353,7 @@ def _subgroups(orders: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
     rest, o = orders[:-1], orders[-1]
     out = []
     for gens in _subgroups(rest):
-        kernel = {(0,) * len(rest)}
-        for g in gens:
-            kernel = {tuple((x + t * y) % n for x, y, n in zip(k, g, rest))
-                      for k in kernel for t in range(math.lcm(*rest))}
+        kernel = subgroup(rest, gens)
         cosets = {min(tuple((x + y) % n for x, y, n in zip(a, k, rest))
                       for k in kernel)
                   for a in itertools.product(*map(range, rest))}

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .arith import euler_phi, factorize, is_prime
 from .errors import InternalInconsistency, PreconditionViolated, UnsupportedField
-from .fields import AbelianField, quadratic_field, require_cm
+from .fields import DEFAULT_MAX_DEGREE, AbelianField, quadratic_field, require_cm
 from .quadratic import (
     SplitType,
     fundamental_unit_norm,
@@ -167,7 +167,7 @@ class MartinetReport:
     q_octic: Optional[int]  # Q of Q(i, sqrt(2), sqrt(p)) when unit_norm = +1
 
 
-def martinet_pair(p: int) -> MartinetReport:
+def martinet_pair(p: int, max_degree: int = DEFAULT_MAX_DEGREE) -> MartinetReport:
     """For p = 1 mod 8 with fundamental unit of Q(sqrt(2p)) of norm +1,
     the pair Q(i, sqrt(2p)) / Q(i, sqrt(2), sqrt(p)) has unit indices 2/1."""
     if not (is_prime(p) and p % 8 == 1):
@@ -175,9 +175,9 @@ def martinet_pair(p: int) -> MartinetReport:
     norm = fundamental_unit_norm(8 * p)
     if norm != 1:
         return MartinetReport(p, norm, None, None)
-    K = quadratic_field(-4).compositum(quadratic_field(8 * p))
-    L = quadratic_field(-4).compositum(quadratic_field(8)).compositum(
-        quadratic_field(p if p % 4 == 1 else 4 * p)
+    K = quadratic_field(-4).compositum(quadratic_field(8 * p), max_degree)
+    L = quadratic_field(-4).compositum(quadratic_field(8), max_degree).compositum(
+        quadratic_field(p if p % 4 == 1 else 4 * p), max_degree
     )
     vk = hasse_unit_index(K)
     vl = hasse_unit_index(L)

@@ -1,8 +1,10 @@
 """Integer and (Z/mZ)* substrate."""
 
 import math
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from cmfields.arith import (
@@ -17,8 +19,10 @@ from cmfields.arith import (
     kronecker,
     multiplicative_order,
     smallest_primitive_root,
+    subgroup,
     unit_group,
 )
+from cmfields.errors import DegreeBoundExceeded
 
 
 def test_factorize_examples():
@@ -70,6 +74,32 @@ def test_exponent_residue_bijection_exhaustive():
             # keep cache memory bounded during the sweep
             discrete_log_table.cache_clear()
     discrete_log_table.cache_clear()
+
+
+def _subgroup_by_powers(orders, gens):
+    """Subgroup generated by exponent vectors: add every multiple t g,
+    t < lcm of the orders, of each generator to every element so far."""
+    group = {(0,) * len(orders)}
+    for g in gens:
+        group = {tuple((x + t * y) % n for x, y, n in zip(h, g, orders))
+                 for h in group for t in range(math.lcm(*orders))}
+    return group
+
+
+def test_subgroup_matches_powers():
+    rng = random.Random(20129)
+    for m in range(1, 120):
+        orders = unit_group(m).orders
+        for _ in range(10):
+            gens = [tuple(rng.randrange(3 * o) for o in orders)
+                    for _ in range(rng.randint(0, 3))]
+            assert subgroup(orders, gens) == _subgroup_by_powers(orders, gens), (m, gens)
+
+
+def test_subgroup_size_bound():
+    assert len(subgroup((2, 4), [(1, 0), (0, 1)], max_size=8)) == 8
+    with pytest.raises(DegreeBoundExceeded, match="degree exceeds bound 7"):
+        subgroup((2, 4), [(1, 0), (0, 1)], max_size=7)
 
 
 def test_generator_orders_are_exact():

@@ -273,6 +273,26 @@ def test_all_characters_count():
         assert len(all_characters(m)) == euler_phi(m)
 
 
+def _all_characters_by_loop(modulus):
+    """The character group mod m built one generator at a time: each
+    exponent k > 0 on generator i times every character so far."""
+    chars = [principal_character(modulus)]
+    for i, o in enumerate(unit_group(modulus).orders):
+        base = list(chars)
+        for k in range(1, o):
+            for c in base:
+                e = list(c.exponents)
+                e[i] = k
+                chars.append(DirichletCharacter(modulus, e))
+    return chars
+
+
+def test_all_characters_match_loop():
+    assert [c.exponents for c in all_characters(15)][:3] == [(0, 0), (1, 0), (0, 1)]
+    for m in range(1, 200):
+        assert all_characters(m) == _all_characters_by_loop(m), m
+
+
 modest_moduli = st.sampled_from([3, 4, 5, 7, 8, 9, 12, 16, 20, 21, 40])
 
 

@@ -133,6 +133,9 @@ def test_verify_martinet_rejects_bad_parameters(capsys):
     assert code == 0
     assert out.splitlines()[0].startswith("[pass] martinet p=17")
     assert out.splitlines()[1].startswith("[skip (norm -1)] martinet p=41")
+    # p = 41 needs no field and p = 17 exceeds the degree bound: nothing prints
+    code, out, err = run(capsys, "--max-degree", "4", "verify", "martinet", "41", "17")
+    assert code == 2 and out == "" and "degree exceeds bound 4" in err
 
 
 def test_verify_sweep_max_one(capsys):
@@ -182,6 +185,9 @@ def test_error_exit_code(capsys):
     "--max-degree 1 hminus --field quad:-3",
     "--max-degree -1 hminus --field quad:-3",
     "--max-degree 0 verify v4 -4 -20",
+    "--max-degree 2 verify v4 -3 -4",
+    "--max-degree 2 verify counterexample 1 -4 5",
+    "--max-degree 2 verify martinet 17",
     "hminus --field zeta:\u00b2",
     "hminus --field quad:-\u00b2",
     "hminus --field chars:f=5:e=\u00b2",

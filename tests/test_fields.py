@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cmfields.arith import divisors, euler_phi
+from cmfields.arith import divisors, euler_phi, factorize, unit_group
 from cmfields.characters import (
     DirichletCharacter,
     all_characters,
@@ -31,6 +31,7 @@ from cmfields.fields import (
     quadratic_field,
     rational_field,
 )
+from cmfields.theorems import _subfields
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -222,6 +223,45 @@ def test_prime_power_decomposition_examples():
     comps = cyclotomic_field(15).prime_power_decomposition()
     assert comps is not None
     assert sorted((c.conductor, c.degree) for c in comps) == [(3, 2), (5, 4)]
+
+
+def _decomposition_by_primitive_keys(K):
+    """The prime-power components of K from the block slices of each
+    character's primitive exponent vector, each component rebuilt at the
+    lcm of its conductors; None when their degrees multiply past K's."""
+    trivial = principal_character(1).primitive_key()
+    parts = {p: {trivial} for p, _ in factorize(K.conductor)}
+    for chi in K.chars:
+        chi = chi.primitivize()
+        blocks = unit_group(chi.modulus).blocks
+        for p, k in factorize(chi.modulus):
+            exps = tuple(e for e, b in zip(chi.exponents, blocks) if b == p**k)
+            parts[p].add((p**k, exps))
+    total = 1
+    components = []
+    for p in sorted(parts):
+        keys = parts[p]
+        m = math.lcm(1, *(k[0] for k in keys))
+        total *= len(keys)
+        components.append(AbelianField(
+            [DirichletCharacter(f, e).at_modulus(m) for f, e in keys]))
+    return components if total == K.degree else None
+
+
+def test_prime_power_decomposition_matches_primitive_keys():
+    discs = [d for d in range(-3000, 3001) if is_fundamental_discriminant(d)]
+    fields = [
+        quadratic_field(d1).compositum(quadratic_field(d2))
+        for d1 in discs for d2 in discs
+        if d1 < d2 and abs(d1 * d2) <= 3000
+    ]
+    fields += [K for m in range(1, 41) for K in _subfields(m)]
+    split = 0
+    for K in fields:
+        comps = K.prime_power_decomposition()
+        assert comps == _decomposition_by_primitive_keys(K), K
+        split += comps is not None
+    assert 0 < split < len(fields)
 
 
 def test_two_primary_subfield_examples():
