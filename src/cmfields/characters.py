@@ -35,12 +35,23 @@ class DirichletCharacter:
                 f"modulus {modulus} has {len(ug.generators)} generators, "
                 f"got {len(exponents)} exponents"
             )
-        exponents = tuple(e % o for e, o in zip(exponents, ug.orders))
+        self._set(modulus, tuple(e % o for e, o in zip(exponents, ug.orders)),
+                  ug.orders)
+
+    @classmethod
+    def _reduced(cls, modulus: int, exponents: tuple[int, ...],
+                 orders: tuple[int, ...]) -> "DirichletCharacter":
+        """A character from a tuple the program has already reduced mod
+        `orders`, the orders of unit_group(modulus); nothing is checked."""
+        chi = cls.__new__(cls)
+        chi._set(modulus, exponents, orders)
+        return chi
+
+    def _set(self, modulus, exponents, orders) -> None:
         self.modulus = modulus
         self.exponents = exponents
         self.order = math.lcm(
-            1, *(o // math.gcd(o, e) for e, o in zip(exponents, ug.orders))
-        )
+            1, *(o // math.gcd(o, e) for e, o in zip(exponents, orders)))
         self._conductor = None
         self._primitive = None
         self._parity = None
@@ -137,14 +148,8 @@ class DirichletCharacter:
     def primitivize(self) -> "DirichletCharacter":
         """The primitive character mod conductor inducing chi; the same
         object on every call, and chi itself when chi is primitive."""
-        prim = self._primitive
-        if prim is None:
-            f = self._conductor or self.conductor()
-            if f == self.modulus:
-                return self
-            prim = self._primitive = self.at_modulus(f)
-            prim._conductor = f
-        return prim
+        return self._primitive or self.at_modulus(
+            self._conductor or self.conductor())
 
     def at_modulus(self, f: int) -> "DirichletCharacter":
         """chi viewed at any modulus f that its conductor divides.
@@ -155,11 +160,19 @@ class DirichletCharacter:
         times o'/o, which is exact because the conductor divides f, and
         times d with g' = g^d mod p^min(k, c).  d = 1 unless the smallest
         primitive roots mod p and mod p^2 differ, as for p = 40487.
+
+        The result keeps chi's conductor and primitive: at the conductor it
+        is chi's primitive, built once and kept on chi, and above the
+        conductor it stores that primitive.
         """
         if f == self.modulus:
             return self
-        if f % self.conductor():
-            raise ValueError(f"conductor {self.conductor()} does not divide {f}")
+        cond = self._conductor or self.conductor()
+        if f % cond:
+            raise ValueError(f"conductor {cond} does not divide {f}")
+        prim = self._primitive or (self if cond == self.modulus else None)
+        if f == cond and prim is not None:
+            return prim
         src = unit_group(self.modulus)
         dst = unit_group(f)
         exps = []
@@ -174,8 +187,14 @@ class DirichletCharacter:
                 if g % n != g0 % n:
                     log = discrete_log_table(n)
                     t *= log[g % n][0] * pow(log[g0 % n][0], -1, len(log))
-            exps.append(t)
-        return DirichletCharacter(f, exps)
+            exps.append(t % o)
+        lift = DirichletCharacter._reduced(f, tuple(exps), dst.orders)
+        lift._conductor = cond
+        if f == cond:
+            self._primitive = lift
+        else:
+            lift._primitive = prim
+        return lift
 
     def primitive_key(self) -> tuple[int, tuple[int, ...]]:
         """Modulus-independent identity: (conductor, primitive exponents)."""
@@ -200,9 +219,9 @@ def char_pow(chi: DirichletCharacter, k: int) -> DirichletCharacter:
 def all_characters(modulus: int) -> list[DirichletCharacter]:
     """The full character group mod m, the exponent on the first generator
     varying fastest: mod 15 it runs (0, 0), (1, 0), (0, 1), (1, 1), ..."""
-    orders = reversed(unit_group(modulus).orders)
-    return [DirichletCharacter(modulus, e[::-1])
-            for e in itertools.product(*map(range, orders))]
+    orders = unit_group(modulus).orders
+    return [DirichletCharacter._reduced(modulus, e[::-1], orders)
+            for e in itertools.product(*map(range, reversed(orders)))]
 
 
 def galois_orbits(chars) -> list[list[DirichletCharacter]]:

@@ -243,6 +243,9 @@ def _sweep_bound(args, default: int) -> int:
 
 def cmd_verify(args) -> int:
     check = args.check
+    if args.sweep and args.params:
+        raise PreconditionViolated(
+            f"verify {check} --sweep takes no parameters, got {args.params}")
     if check == "martinet":
         if args.params:
             for p in args.params:

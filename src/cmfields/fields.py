@@ -7,6 +7,7 @@ checks consume.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .arith import euler_phi, factorize, is_squarefree, kronecker, subgroup, unit_group
 from .characters import DirichletCharacter, all_characters, principal_character
@@ -31,11 +32,11 @@ class AbelianField:
 
     Immutable; the constructor assumes the set is multiplicatively closed
     (use `field_from_generators` to close an arbitrary set).  The odd
-    characters are picked out once, on first use.
+    characters and w are worked out once, on first use.
     """
 
     __slots__ = ("chars", "modulus", "conductor", "degree", "_prim_keys",
-                 "_odd")
+                 "_odd", "_w")
 
     def __init__(self, chars):
         chars = tuple(sorted(set(chars), key=lambda c: c.exponents))
@@ -52,6 +53,7 @@ class AbelianField:
         self.degree = len(chars)
         self._prim_keys = frozenset(c.primitive_key() for c in chars)
         self._odd = None
+        self._w = None
 
     def __eq__(self, other):
         return isinstance(other, AbelianField) and self._prim_keys == other._prim_keys
@@ -94,24 +96,28 @@ class AbelianField:
         so Q(zeta_q) lies in the field exactly when there are phi(q) of
         them.  Q(zeta_2) = Q: the 2-part is >= 2.
         """
-        conductors = [c.conductor() for c in self.chars]
-        w = 1
-        for p, e in factorize(2 * self.conductor):
-            q = 1
-            while q < p**e and (sum(q * p % f == 0 for f in conductors)
-                                == euler_phi(q * p)):
-                q *= p
-            w *= q
-        return w
+        if self._w is None:
+            conductors = [c.conductor() for c in self.chars]
+            w = 1
+            for p, e in factorize(2 * self.conductor):
+                q = 1
+                while q < p**e and (sum(q * p % f == 0 for f in conductors)
+                                    == euler_phi(q * p)):
+                    q *= p
+                w *= q
+            self._w = w
+        return self._w
 
     # -- lattice ops -----------------------------------------------------
 
     def compositum(
         self, other: "AbelianField", max_degree: int = DEFAULT_MAX_DEGREE
     ) -> "AbelianField":
-        return field_from_generators(
-            list(self.chars) + list(other.chars), max_degree=max_degree
-        )
+        """The smallest field holding both; the principal characters add
+        nothing to the closure and are not passed on."""
+        gens = [c for c in self.chars + other.chars if not c.is_principal()]
+        return field_from_generators(gens or self.chars[:1],
+                                     max_degree=max_degree)
 
     def intersection(self, other: "AbelianField") -> "AbelianField":
         shared = self._prim_keys & other._prim_keys
@@ -135,12 +141,16 @@ class AbelianField:
                 parts[q] = slices
         if math.prod(map(len, parts.values())) != self.degree:
             return None
-        return [AbelianField(DirichletCharacter(q, e) for e in slices)
+        return [AbelianField(DirichletCharacter._reduced(
+                    q, e, unit_group(q).orders) for e in slices)
                 for q, slices in parts.items()]
 
     def two_primary_subfield(self) -> "AbelianField":
         """Field of the 2-Sylow subgroup of the character group; has odd
-        index in the field and stays CM whenever the field is."""
+        index in the field and stays CM whenever the field is.  The field
+        itself when its degree is a power of 2."""
+        if self.degree & (self.degree - 1) == 0:
+            return self
         sylow = [c for c in self.chars if (c.order & (c.order - 1)) == 0]
         return AbelianField(sylow)
 
@@ -157,14 +167,20 @@ class AbelianField:
 def field_from_generators(
     gens, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> AbelianField:
-    """Closure of a list of characters under the group law."""
+    """Closure of a list of characters under the group law.  The lifted
+    generators are members as they are, with their cached invariants."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     m = normalize_cyclotomic_modulus(math.lcm(1, *(g.conductor() for g in gens)))
-    group = subgroup(unit_group(m).orders,
-                     [g.at_modulus(m).exponents for g in gens], max_degree)
-    return AbelianField(DirichletCharacter(m, e) for e in group)
+    orders = unit_group(m).orders
+    lifted = {}
+    for g in gens:
+        chi = g.at_modulus(m)
+        lifted.setdefault(chi.exponents, chi)
+    group = subgroup(orders, lifted, max_degree)
+    return AbelianField(lifted.get(e) or DirichletCharacter._reduced(m, e, orders)
+                        for e in group)
 
 
 def cyclotomic_field(m: int, max_degree: int = DEFAULT_MAX_DEGREE) -> AbelianField:
@@ -190,8 +206,12 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
 def quadratic_field(d: int) -> AbelianField:
-    """Q(sqrt(d)) via the order-2 Kronecker character (d/.) of conductor |d|."""
+    """Q(sqrt(d)) via the order-2 Kronecker character (d/.) of conductor |d|.
+
+    Memoized for the life of the process: a field is immutable, so every
+    caller shares one object and its cached invariants."""
     if not is_fundamental_discriminant(d):
         raise NotFundamentalDiscriminant(f"{d} is not a fundamental discriminant")
     m = abs(d)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import isqrt
 
 from .arith import _xgcd, factorize, kronecker
@@ -176,8 +177,11 @@ def reduced_indefinite_forms(D: int) -> list[QuadForm]:
     return out
 
 
+@lru_cache(maxsize=None)
 def class_number(D: int, narrow: bool = False) -> int:
-    """h(D) by reduced-form enumeration (wide by default for D > 0)."""
+    """h(D) by reduced-form enumeration (wide by default for D > 0).
+
+    Memoized for the life of the process on (D, narrow)."""
     _require_fundamental(D)
     if D < 0:
         return len(reduced_forms(D))

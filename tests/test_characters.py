@@ -260,6 +260,29 @@ def test_cached_invariants_match_fresh_characters():
     assert count == sum(euler_phi(m) for m in range(1, 200))
 
 
+def test_lifts_keep_conductor_and_primitive():
+    """A lift to k * m reports the conductor and primitive key that a fresh
+    character with its exponents works out from scratch, whether or not the
+    source knew its primitive before the lift."""
+    for m in range(1, 120):
+        for chi in all_characters(m):
+            for known in (False, True):
+                src = DirichletCharacter(m, chi.exponents)
+                if known:
+                    prim = src.primitivize()
+                    assert src.at_modulus(src.conductor()) is prim
+                for k in (2, 3, 4):
+                    lift = src.at_modulus(k * m)
+                    fresh = DirichletCharacter(k * m, lift.exponents)
+                    assert lift == fresh
+                    assert lift.conductor() == fresh.conductor() == chi.conductor()
+                    assert lift.primitive_key() == fresh.primitive_key(), (chi, k)
+                    prim = lift.primitivize()
+                    assert prim.primitivize() is prim
+                    # a primitive character does not keep a reference to itself
+                    assert all(r is not prim for r in gc.get_referents(prim))
+
+
 def test_orbit_members_share_conductor_and_parity():
     for m in (5, 7, 16, 20):
         for orbit in galois_orbits(all_characters(m)):

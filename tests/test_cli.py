@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: output formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -9,9 +12,8 @@ from cmfields.cli import main
 
 from pathlib import Path
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "schema.json").read_text())
 
 
 def run(capsys, *argv):
@@ -180,6 +182,11 @@ def test_error_exit_code(capsys):
     "verify martinet 7",
     "verify martinet 25",
     "verify martinet 17 9",
+    "verify v4 -7 -8 --sweep --max 30",
+    "verify masley 3 5 --sweep",
+    "verify metsankyla 5 7 --sweep",
+    "verify counterexample 1 -4 5 --sweep",
+    "verify martinet 17 --sweep",
     "--max-degree 4 verify metsankyla 5 7",
     "--max-degree 4 verify masley 5 3",
     "--max-degree 1 hminus --field quad:-3",
@@ -207,3 +214,13 @@ def test_malformed_input_exits_2(capsys, argv):
 def test_max_degree_flag(capsys):
     code, _, err = run(capsys, "--max-degree", "4", "hminus", "--field", "zeta:11")
     assert code == 2 and "error:" in err
+
+
+def test_python_m_cmfields_matches_cli_module():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["verify", "v4", "-3", "-4"]
+    outs = [subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                           capture_output=True, timeout=120)
+            for module in ("cmfields", "cmfields.cli")]
+    assert [p.returncode for p in outs] == [0, 0]
+    assert outs[0].stdout and outs[0].stdout == outs[1].stdout

@@ -169,13 +169,19 @@ def _w_by_scan(K):
     return best if best % 2 == 0 else 2 * best
 
 
+FUNDAMENTAL = [d for d in range(-3000, 3001) if is_fundamental_discriminant(d)]
+
+
+def _v4_pairs():
+    """Q(sqrt d1), Q(sqrt d2) for the 3,554 pairs of distinct fundamental
+    discriminants with |d1 d2| <= 3000."""
+    return [(quadratic_field(d1), quadratic_field(d2))
+            for d1 in FUNDAMENTAL for d2 in FUNDAMENTAL
+            if d1 < d2 and abs(d1 * d2) <= 3000]
+
+
 def test_roots_of_unity_matches_scan():
-    discs = [d for d in range(-3000, 3001) if is_fundamental_discriminant(d)]
-    fields = [
-        quadratic_field(d1).compositum(quadratic_field(d2))
-        for d1 in discs for d2 in discs
-        if d1 < d2 and abs(d1 * d2) <= 3000
-    ]
+    fields = [K1.compositum(K2) for K1, K2 in _v4_pairs()]
     fields += [cyclotomic_field(m) for m in range(1, 80) if m % 4 != 2]
     fields += [
         quadratic_field(-4).compositum(quadratic_field(5)),
@@ -187,7 +193,48 @@ def test_roots_of_unity_matches_scan():
         cyclotomic_field(7).maximal_real_subfield().compositum(quadratic_field(-8)),
     ]
     for K in fields:
-        assert K.roots_of_unity_order() == _w_by_scan(K), K
+        w = K.roots_of_unity_order()
+        assert w == _w_by_scan(K) and K.roots_of_unity_order() == w, K
+
+
+def test_quadratic_field_memo_matches_fresh_build():
+    for d in FUNDAMENTAL:
+        K = quadratic_field(d)
+        fresh = quadratic_field.__wrapped__(d)
+        assert quadratic_field(d) is K and fresh is not K
+        assert fresh == K and fresh.conductor == K.conductor == abs(d)
+        assert [c.encode() for c in fresh.chars] == [c.encode() for c in K.chars]
+
+
+def _compositum_of_all_characters(K, L):
+    """The compositum as it was built before: every character of both
+    fields, principal ones included, handed to the closure."""
+    return field_from_generators(list(K.chars) + list(L.chars))
+
+
+def test_compositum_matches_all_characters():
+    pairs = _v4_pairs()
+    for m in range(1, 25):
+        subs = _subfields(m)
+        pairs += [(K, L) for K in subs for L in subs]
+    pairs += [(K, L) for K in _subfields(8) for L in _subfields(9)]
+    pairs += [(rational_field(), rational_field()),
+              (rational_field(), quadratic_field(-4))]
+    for K, L in pairs:
+        new, old = K.compositum(L), _compositum_of_all_characters(K, L)
+        assert new == old, (K, L)
+        assert [c.encode() for c in new.chars] == [c.encode() for c in old.chars]
+        assert new.conductor == old.conductor
+        assert new.roots_of_unity_order() == old.roots_of_unity_order()
+
+
+def test_field_from_generators_keeps_lifted_generators():
+    gens = [quadratic_field(-3).chars[1], quadratic_field(-4).chars[1]]
+    K = field_from_generators(gens)
+    for g in gens:
+        lift = next(c for c in K.chars if c.primitive_key() == g.primitive_key())
+        # the member is the lift, carrying the generator as its primitive
+        assert lift.primitivize() is g
 
 
 def test_compositum_and_intersection():
@@ -269,6 +316,18 @@ def test_two_primary_subfield_examples():
     assert cyclotomic_field(4).two_primary_subfield() == quadratic_field(-4)
     two13 = cyclotomic_field(13).two_primary_subfield()
     assert two13.degree == 4 and two13.conductor == 13
+
+
+def test_two_primary_subfield_matches_sylow_characters():
+    """The field itself when the degree is a power of 2, else the field of
+    the characters of 2-power order, as it was always built."""
+    for m in range(1, 41):
+        for K in _subfields(m):
+            two = K.two_primary_subfield()
+            oracle = AbelianField(c for c in K.chars
+                                  if c.order & (c.order - 1) == 0)
+            assert two == oracle and two.degree == oracle.degree, K
+            assert (two is K) == (K.degree & (K.degree - 1) == 0), K
 
 
 def test_two_primary_subfield_properties():

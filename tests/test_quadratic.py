@@ -36,6 +36,16 @@ def test_class_number_examples():
     assert class_number(136) == 2
 
 
+def test_class_number_memo_matches_fresh_count():
+    """Both signs of each |d| <= 3000: h(24) = 1 but h(-24) = 2, so a memo
+    keyed on |d| would answer one of them wrongly."""
+    for d in range(-3000, 3001):
+        if is_fundamental_discriminant(d):
+            assert class_number(d) == class_number.__wrapped__(d), d
+            assert class_number(d, narrow=True) == class_number.__wrapped__(
+                d, narrow=True), d
+
+
 def test_reduced_forms_for_minus23():
     forms = set(reduced_forms(-23))
     assert forms == {QuadForm(1, 1, 6), QuadForm(2, 1, 3), QuadForm(2, -1, 3)}

@@ -1,9 +1,15 @@
 """Executable checks for the divisibility and factorization statements."""
 
+import functools
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import cmfields
+from cmfields import cli, fields, hminus, quadratic, theorems, unitindex
+from cmfields.cli import main
 from cmfields.errors import (
     EvenIndex,
     NotFundamentalDiscriminant,
@@ -192,3 +198,52 @@ def test_subfields_match_bfs():
         assert set(fields) == _subfields_by_bfs(m), m
         count += len(fields)
     assert count == 299
+
+
+def test_v4_sweep_does_each_quadratic_step_once(monkeypatch, capsys):
+    """`verify v4 --sweep` builds each quadratic field and counts each class
+    number once per discriminant, and never rebuilds a V4 field as its own
+    2-primary subfield.  The memo bodies are wrapped with counters and
+    memoized again in every module that holds them."""
+    bodies = Counter()
+
+    def counted(name, memo):
+        def body(*args):
+            bodies[name, args] += 1
+            return memo.__wrapped__(*args)
+        return functools.lru_cache(maxsize=None)(body)
+
+    for memo in (fields.quadratic_field, quadratic.class_number):
+        wrapped = counted(memo.__name__, memo)
+        for ns in (cmfields, cli, fields, hminus, quadratic, theorems, unitindex):
+            for key, value in list(vars(ns).items()):
+                if value is memo:
+                    monkeypatch.setattr(ns, key, wrapped)
+
+    entered, inside, rebuilt = [0], [0], [0]
+    two_primary = AbelianField.two_primary_subfield
+    init = AbelianField.__init__
+
+    def counted_two_primary(self):
+        entered[0] += 1
+        inside[0] += 1
+        try:
+            return two_primary(self)
+        finally:
+            inside[0] -= 1
+
+    def counted_init(self, chars):
+        rebuilt[0] += inside[0] > 0
+        init(self, chars)
+
+    monkeypatch.setattr(AbelianField, "two_primary_subfield", counted_two_primary)
+    monkeypatch.setattr(AbelianField, "__init__", counted_init)
+
+    assert main(["verify", "v4", "--sweep", "--max", "300"]) == 0
+    out = capsys.readouterr().out
+    pairs = re.findall(r"'d1': (-\d+), 'd2': (-\d+)", out)
+    discs = {int(d) for pair in pairs for d in pair}
+    assert len(pairs) == len(out.splitlines()) > 20 and len(discs) < 2 * len(pairs)
+    assert bodies == Counter({(name, (d,)): 1 for d in discs
+                              for name in ("quadratic_field", "class_number")})
+    assert entered[0] == len(pairs) and rebuilt == [0]
