@@ -15,17 +15,46 @@ from .cyclotomic import CycNumber
 from .errors import LengthMismatch, NotClosed
 
 
+def _block_map(src, exponents: tuple[int, ...], dst) -> tuple[int, ...]:
+    """The exponents on the generators of `dst` of the character that has
+    `exponents` on the generators of `src`; its conductor divides both
+    moduli.
+
+    Each prime-power block maps on its own.  The exponent on a generator
+    of order o at p^k goes to the matching generator of order o' at p^c
+    (the generator itself on an odd block; -1 or 5 on a 2-power block),
+    times o'/o, which is exact because the conductor divides both moduli,
+    and times d with g' = g^d mod p^min(k, c).  d = 1 unless the smallest
+    primitive roots mod p and mod p^2 differ, as for p = 40487.
+    """
+    exps = []
+    for g, o, q in zip(dst.generators, dst.orders, dst.blocks):
+        t = 0
+        for e, g0, o0, q0 in zip(exponents, src.generators, src.orders,
+                                 src.blocks):
+            n = math.gcd(q, q0)
+            if e == 0 or n == 1 or (q % 2 == 0 and g % 4 != g0 % 4):
+                continue
+            t = e * o // o0
+            if g % n != g0 % n:
+                log = discrete_log_table(n)
+                t *= log[g % n][0] * pow(log[g0 % n][0], -1, len(log))
+        exps.append(t % o)
+    return tuple(exps)
+
+
 class DirichletCharacter:
     """A character mod m, chi(g_i) = zeta_{order_i}^{exponents_i}.
 
     Hashable and compared by (modulus, exponents); use `primitive_key` to
-    compare characters living at different moduli.  The conductor, the
-    primitive character and the parity are worked out on first use and
-    kept; a primitive character is its own primitive and stores none.
+    compare characters living at different moduli.  The order, conductor,
+    parity and primitive key depend only on (modulus, exponents), so they
+    are worked out once, when the character is built; a lift copies them
+    from its source.
     """
 
-    __slots__ = ("modulus", "exponents", "order", "_conductor", "_primitive",
-                 "_parity")
+    __slots__ = ("modulus", "exponents", "order", "_conductor", "_parity",
+                 "_key")
 
     def __init__(self, modulus: int, exponents):
         ug = unit_group(modulus)
@@ -35,26 +64,53 @@ class DirichletCharacter:
                 f"modulus {modulus} has {len(ug.generators)} generators, "
                 f"got {len(exponents)} exponents"
             )
-        self._set(modulus, tuple(e % o for e, o in zip(exponents, ug.orders)),
-                  ug.orders)
+        self._set(modulus, tuple(e % o for e, o in zip(exponents, ug.orders)))
 
     @classmethod
-    def _reduced(cls, modulus: int, exponents: tuple[int, ...],
-                 orders: tuple[int, ...]) -> "DirichletCharacter":
-        """A character from a tuple the program has already reduced mod
-        `orders`, the orders of unit_group(modulus); nothing is checked."""
+    def _reduced(cls, modulus: int,
+                 exponents: tuple[int, ...]) -> "DirichletCharacter":
+        """A character from a tuple the program has already reduced mod the
+        orders of unit_group(modulus); nothing is checked."""
         chi = cls.__new__(cls)
-        chi._set(modulus, exponents, orders)
+        chi._set(modulus, exponents)
         return chi
 
-    def _set(self, modulus, exponents, orders) -> None:
+    def _set(self, modulus: int, exponents: tuple[int, ...]) -> None:
+        """One walk over the prime-power blocks of (Z/mZ)*.
+
+        Conductor (Washington, Introduction to Cyclotomic Fields, Ch. 3):
+        on an odd p^k a component of order o > 1 has conductor
+        p^(1 + v_p(o)); on a power of 2 a nonzero exponent on -1 (3 mod 4)
+        needs 4, and an exponent of order 2^j >= 2 on 5 needs 2^(j + 2).
+        Parity: -1 is g^(o/2) for the generator g of an odd block and is
+        the generator -1 of a 2-power block, so chi(-1) = (-1)^s with s
+        the sum of the exponents on those generators.
+        """
+        ug = unit_group(modulus)
+        n = f = 1
+        s = 0
+        for e, g, o, q in zip(exponents, ug.generators, ug.orders, ug.blocks):
+            if e == 0:
+                continue
+            order = o // math.gcd(o, e)
+            n = math.lcm(n, order)
+            if q % 2:
+                # o = (p - 1) p^(k-1), so gcd(o, q) = p^(k-1) and
+                # gcd(order, q) = p^v_p(order)
+                f = math.lcm(f, q // math.gcd(o, q) * math.gcd(order, q))
+                s += e
+            elif g % q == q - 1:
+                f = math.lcm(f, 4)
+                s += e
+            else:
+                f = math.lcm(f, 4 * order)
         self.modulus = modulus
         self.exponents = exponents
-        self.order = math.lcm(
-            1, *(o // math.gcd(o, e) for e, o in zip(exponents, orders)))
-        self._conductor = None
-        self._primitive = None
-        self._parity = None
+        self.order = n
+        self._conductor = f
+        self._parity = -1 if s % 2 else 1
+        self._key = (f, exponents if f == modulus
+                     else _block_map(ug, exponents, unit_group(f)))
 
     # -- identity --------------------------------------------------------
 
@@ -100,106 +156,46 @@ class DirichletCharacter:
         return CycNumber.zeta(self.order, t)
 
     def parity(self) -> int:
-        """chi(-1); -1 means odd.
-
-        -1 is g^(o/2) for the generator g of an odd block and is the
-        generator -1 (3 mod 4) of a 2-power block, so chi(-1) = (-1)^s with
-        s the sum of the exponents on those generators."""
-        if self._parity is None:
-            ug = unit_group(self.modulus)
-            s = sum(e for e, g, q in zip(self.exponents, ug.generators,
-                                         ug.blocks) if q % 2 or g % 4 == 3)
-            self._parity = -1 if s % 2 else 1
+        """chi(-1); -1 means odd."""
         return self._parity
 
     def is_odd(self) -> bool:
-        return self.parity() == -1
+        return self._parity == -1
 
     # -- conductor and primitivization -----------------------------------
 
     def conductor(self) -> int:
-        """Smallest f | m such that chi factors through (Z/fZ)*.
-
-        Read off the exponent vector one prime-power block of (Z/mZ)* at a
-        time (Washington, Introduction to Cyclotomic Fields, Ch. 3).  Odd
-        p^k: a component of order o > 1 has conductor p^(1 + v_p(o)).
-        Powers of 2: a nonzero exponent on -1 (3 mod 4) needs 4, and an
-        exponent of order 2^j >= 2 on 5 needs 2^(j + 2).
-        """
-        if self._conductor is None:
-            ug = unit_group(self.modulus)
-            f = 1
-            for e, g, o, q in zip(self.exponents, ug.generators, ug.orders,
-                                  ug.blocks):
-                if e == 0:
-                    continue
-                order = o // math.gcd(o, e)
-                if q % 2:
-                    # o = (p - 1) p^(k-1), so gcd(o, q) = p^(k-1) and
-                    # gcd(order, q) = p^v_p(order)
-                    f = math.lcm(f, q // math.gcd(o, q) * math.gcd(order, q))
-                elif g % q == q - 1:
-                    f = math.lcm(f, 4)
-                else:
-                    f = math.lcm(f, 4 * order)
-            self._conductor = f
+        """Smallest f | m such that chi factors through (Z/fZ)*."""
         return self._conductor
-
-    def primitivize(self) -> "DirichletCharacter":
-        """The primitive character mod conductor inducing chi; the same
-        object on every call, and chi itself when chi is primitive."""
-        return self._primitive or self.at_modulus(
-            self._conductor or self.conductor())
-
-    def at_modulus(self, f: int) -> "DirichletCharacter":
-        """chi viewed at any modulus f that its conductor divides.
-
-        Each prime-power block maps on its own.  The exponent on a generator
-        of order o at p^k goes to the matching generator of order o' at p^c
-        (the generator itself on an odd block; -1 or 5 on a 2-power block),
-        times o'/o, which is exact because the conductor divides f, and
-        times d with g' = g^d mod p^min(k, c).  d = 1 unless the smallest
-        primitive roots mod p and mod p^2 differ, as for p = 40487.
-
-        The result keeps chi's conductor and primitive: at the conductor it
-        is chi's primitive, built once and kept on chi, and above the
-        conductor it stores that primitive.
-        """
-        if f == self.modulus:
-            return self
-        cond = self._conductor or self.conductor()
-        if f % cond:
-            raise ValueError(f"conductor {cond} does not divide {f}")
-        prim = self._primitive or (self if cond == self.modulus else None)
-        if f == cond and prim is not None:
-            return prim
-        src = unit_group(self.modulus)
-        dst = unit_group(f)
-        exps = []
-        for g, o, q in zip(dst.generators, dst.orders, dst.blocks):
-            t = 0
-            for e, g0, o0, q0 in zip(self.exponents, src.generators,
-                                     src.orders, src.blocks):
-                n = math.gcd(q, q0)
-                if e == 0 or n == 1 or (q % 2 == 0 and g % 4 != g0 % 4):
-                    continue
-                t = e * o // o0
-                if g % n != g0 % n:
-                    log = discrete_log_table(n)
-                    t *= log[g % n][0] * pow(log[g0 % n][0], -1, len(log))
-            exps.append(t % o)
-        lift = DirichletCharacter._reduced(f, tuple(exps), dst.orders)
-        lift._conductor = cond
-        if f == cond:
-            self._primitive = lift
-        else:
-            lift._primitive = prim
-        return lift
 
     def primitive_key(self) -> tuple[int, tuple[int, ...]]:
         """Modulus-independent identity: (conductor, primitive exponents)."""
-        chi = self.primitivize()
-        return (chi.modulus, chi.exponents)
+        return self._key
+
+    def primitivize(self) -> "DirichletCharacter":
+        """The primitive character mod conductor inducing chi: chi itself
+        when chi is primitive, else a new character from the primitive key."""
+        if self._conductor == self.modulus:
+            return self
+        return DirichletCharacter._reduced(*self._key)
+
+    def at_modulus(self, f: int) -> "DirichletCharacter":
+        """chi viewed at any modulus f that its conductor divides, mapped up
+        from the primitive key; the result copies chi's order, conductor,
+        parity and primitive key."""
+        if f == self.modulus:
+            return self
+        cond, exps = self._key
+        if f % cond:
+            raise ValueError(f"conductor {cond} does not divide {f}")
+        lift = DirichletCharacter.__new__(DirichletCharacter)
+        lift.modulus = f
+        lift.exponents = _block_map(unit_group(cond), exps, unit_group(f))
+        lift.order = self.order
+        lift._conductor = cond
+        lift._parity = self._parity
+        lift._key = self._key
+        return lift
 
 
 def principal_character(modulus: int = 1) -> DirichletCharacter:
@@ -220,7 +216,7 @@ def all_characters(modulus: int) -> list[DirichletCharacter]:
     """The full character group mod m, the exponent on the first generator
     varying fastest: mod 15 it runs (0, 0), (1, 0), (0, 1), (1, 1), ..."""
     orders = unit_group(modulus).orders
-    return [DirichletCharacter._reduced(modulus, e[::-1], orders)
+    return [DirichletCharacter._reduced(modulus, e[::-1])
             for e in itertools.product(*map(range, reversed(orders)))]
 
 

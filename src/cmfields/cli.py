@@ -243,9 +243,10 @@ def _sweep_bound(args, default: int) -> int:
 
 def cmd_verify(args) -> int:
     check = args.check
-    if args.sweep and args.params:
+    if args.params and (args.sweep or args.max is not None):
+        flag = "--sweep" if args.sweep else "--max"
         raise PreconditionViolated(
-            f"verify {check} --sweep takes no parameters, got {args.params}")
+            f"verify {check} {flag} takes no parameters, got {args.params}")
     if check == "martinet":
         if args.params:
             for p in args.params:

@@ -141,8 +141,7 @@ class AbelianField:
                 parts[q] = slices
         if math.prod(map(len, parts.values())) != self.degree:
             return None
-        return [AbelianField(DirichletCharacter._reduced(
-                    q, e, unit_group(q).orders) for e in slices)
+        return [AbelianField(DirichletCharacter._reduced(q, e) for e in slices)
                 for q, slices in parts.items()]
 
     def two_primary_subfield(self) -> "AbelianField":
@@ -168,7 +167,7 @@ def field_from_generators(
     gens, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> AbelianField:
     """Closure of a list of characters under the group law.  The lifted
-    generators are members as they are, with their cached invariants."""
+    generators are members as they are, with the invariants they copied."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
@@ -179,7 +178,7 @@ def field_from_generators(
         chi = g.at_modulus(m)
         lifted.setdefault(chi.exponents, chi)
     group = subgroup(orders, lifted, max_degree)
-    return AbelianField(lifted.get(e) or DirichletCharacter._reduced(m, e, orders)
+    return AbelianField(lifted.get(e) or DirichletCharacter._reduced(m, e)
                         for e in group)
 
 

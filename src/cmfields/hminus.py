@@ -28,20 +28,20 @@ from .unitindex import UnitIndexVerdict, hasse_unit_index
 
 def bernoulli_b1(chi: DirichletCharacter) -> CycNumber:
     """Generalized Bernoulli number B_(1,chi) for an odd character, at
-    level ord(chi).  The character is primitivized before summation: the
-    sum runs over the conductor, not the defining modulus."""
+    level ord(chi).  The sum runs over the conductor f, not the defining
+    modulus, with the exponents of chi's primitive key; no primitive
+    character is built."""
     if chi.is_principal():
         raise PrincipalCharacter(chi.encode())
     if not chi.is_odd():
         raise EvenCharacter(chi.encode())
-    chi = chi.primitivize()
-    f = chi.modulus
+    f, exps = chi.primitive_key()
     n = chi.order
     # (Z/fZ)* as products of canonical generator powers, each residue with
     # its value exponent t, chi(a) = zeta_n^t
     ug = unit_group(f)
     units = [(1, 0)]
-    for g, o, e in zip(ug.generators, ug.orders, chi.exponents):
+    for g, o, e in zip(ug.generators, ug.orders, exps):
         step = e * n // o
         cosets = [units]
         for _ in range(o - 1):

@@ -43,7 +43,6 @@ class UnitIndexVerdict:
     q: int  # Hasse unit index, 1 or 2
     kappa_order: Optional[int]  # |capitulation kernel|, 1 or 2; None if unknown
     rule: str
-    essential_ramification: Optional[bool] = None
 
     def __post_init__(self):
         # Q = 2 forces trivial capitulation
@@ -137,26 +136,18 @@ def _biquadratic_verdict(K: AbelianField) -> UnitIndexVerdict:
         d1 = imag[0]
         sqrt_ideal = ideal_sqrt_of_element(D, d1)
         if sqrt_ideal is None:
-            return UnitIndexVerdict(1, 1, RULE_ESS_RAMIFIED, essential_ramification=True)
+            return UnitIndexVerdict(1, 1, RULE_ESS_RAMIFIED)
         if is_principal(sqrt_ideal):
-            return UnitIndexVerdict(
-                2, 1, RULE_SQRT_PRINCIPAL, essential_ramification=False
-            )
-        return UnitIndexVerdict(
-            1, 2, RULE_SQRT_NONPRINCIPAL, essential_ramification=False
-        )
+            return UnitIndexVerdict(2, 1, RULE_SQRT_PRINCIPAL)
+        return UnitIndexVerdict(1, 2, RULE_SQRT_NONPRINCIPAL)
 
     # w = 4: sqrt(-1) in K; decide by whether (2) is an ideal square in K+
     typ, ideal = split_prime(D, 2)
     if typ != SplitType.RAMIFIED:
-        return UnitIndexVerdict(1, 1, RULE_TWO_NOT_SQUARE, essential_ramification=False)
+        return UnitIndexVerdict(1, 1, RULE_TWO_NOT_SQUARE)
     if is_principal(ideal):
-        return UnitIndexVerdict(
-            2, 1, RULE_TWO_SQUARE_PRINCIPAL, essential_ramification=False
-        )
-    return UnitIndexVerdict(
-        1, 2, RULE_TWO_SQUARE_NONPRINCIPAL, essential_ramification=False
-    )
+        return UnitIndexVerdict(2, 1, RULE_TWO_SQUARE_PRINCIPAL)
+    return UnitIndexVerdict(1, 2, RULE_TWO_SQUARE_NONPRINCIPAL)
 
 
 @dataclass(frozen=True)

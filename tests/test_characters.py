@@ -244,7 +244,7 @@ def test_cached_invariants_match_fresh_characters():
     for m in range(1, 200):
         for chi in all_characters(m):
             prim = chi.primitivize()
-            assert chi.primitivize() is prim
+            assert chi.primitivize() == prim
             fresh = DirichletCharacter(m, chi.exponents)
             assert prim == fresh.at_modulus(fresh.conductor())
             assert prim.conductor() == prim.modulus == chi.conductor()
@@ -270,13 +270,15 @@ def test_lifts_keep_conductor_and_primitive():
                 src = DirichletCharacter(m, chi.exponents)
                 if known:
                     prim = src.primitivize()
-                    assert src.at_modulus(src.conductor()) is prim
+                    assert src.at_modulus(src.conductor()) == prim
                 for k in (2, 3, 4):
                     lift = src.at_modulus(k * m)
                     fresh = DirichletCharacter(k * m, lift.exponents)
                     assert lift == fresh
                     assert lift.conductor() == fresh.conductor() == chi.conductor()
                     assert lift.primitive_key() == fresh.primitive_key(), (chi, k)
+                    assert lift.order == fresh.order
+                    assert lift.parity() == fresh.parity(), (chi, k)
                     prim = lift.primitivize()
                     assert prim.primitivize() is prim
                     # a primitive character does not keep a reference to itself

@@ -187,6 +187,9 @@ def test_error_exit_code(capsys):
     "verify metsankyla 5 7 --sweep",
     "verify counterexample 1 -4 5 --sweep",
     "verify martinet 17 --sweep",
+    "verify v4 -4 -20 --max 0",
+    "verify martinet 17 --max 0",
+    "verify masley 3 5 --max 7",
     "--max-degree 4 verify metsankyla 5 7",
     "--max-degree 4 verify masley 5 3",
     "--max-degree 1 hminus --field quad:-3",

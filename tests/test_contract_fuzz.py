@@ -145,10 +145,12 @@ def test_table_argv(kind, table_specs, zeta_range, max_degree, strict, fmt):
                         "martinet", "other"]),
        st.lists(st.integers(min_value=-30, max_value=30).map(str), max_size=3),
        st.booleans(), st.integers(min_value=-1, max_value=12).map(str),
-       max_degrees, st.booleans())
-def test_verify_argv(check, params, sweep, bound, max_degree, as_json):
-    # --max is always given: the default sweep bounds take seconds
-    argv = ["verify", check, *params, "--max", bound]
+       max_degrees, st.booleans(), st.booleans())
+def test_verify_argv(check, params, sweep, bound, max_degree, as_json, with_max):
+    # --max is always given without parameters: the default sweep bounds
+    # take seconds; with parameters it is an error, so it is drawn
+    argv = ["verify", check, *params]
+    argv += ["--max", bound] * (with_max or not params)
     argv += ["--sweep"] * sweep + ["--json"] * as_json
     code, out, err = _call(_with_max_degree(max_degree, argv))
     assert code in (None, 0, 1, 2), (argv, code)

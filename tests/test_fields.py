@@ -233,8 +233,8 @@ def test_field_from_generators_keeps_lifted_generators():
     K = field_from_generators(gens)
     for g in gens:
         lift = next(c for c in K.chars if c.primitive_key() == g.primitive_key())
-        # the member is the lift, carrying the generator as its primitive
-        assert lift.primitivize() is g
+        # the member is the lift, and its primitive is the generator
+        assert lift.primitivize() == g
 
 
 def test_compositum_and_intersection():

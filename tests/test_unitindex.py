@@ -115,7 +115,6 @@ def test_theorem_instances_direct_subcase():
     # Theorem-1 branch with the same verdict
     direct = biquadratic_verdict(biquad(8, -3))
     assert (direct.q, direct.kappa_order, direct.rule) == (1, 1, RULE_ESS_RAMIFIED)
-    assert direct.essential_ramification is True
     direct = biquadratic_verdict(biquad(-4, 5))
     assert (direct.q, direct.kappa_order, direct.rule) == (1, 1, RULE_TWO_NOT_SQUARE)
 
