@@ -179,9 +179,6 @@ class UnitGroupStructure:
     orders: tuple[int, ...]
     blocks: tuple[int, ...]
 
-    def exponent(self) -> int:
-        return math.lcm(1, *self.orders)
-
 
 @lru_cache(maxsize=None)
 def unit_group(m: int) -> UnitGroupStructure:

@@ -128,7 +128,7 @@ class DirichletCharacter:
         return f"DirichletCharacter({self.encode()!r})"
 
     def encode(self) -> str:
-        return f"f={self.modulus}:e={','.join(map(str, self.exponents))}"
+        return encode(self.modulus, self.exponents)
 
     def is_principal(self) -> bool:
         return self.order == 1
@@ -242,16 +242,21 @@ def galois_orbits(chars) -> list[list[DirichletCharacter]]:
                 continue
             conj = (m, tuple(k * e % o for e, o in zip(exps, orders)))
             if conj not in index:
-                missing = DirichletCharacter(*conj).encode()
-                raise NotClosed(f"{missing} missing from the set")
+                raise NotClosed(f"{encode(*conj)} missing from the set")
             seen.add(conj)
             orbit.append(index[conj])
         orbits.append(orbit)
     return orbits
 
 
+def encode(modulus: int, exponents) -> str:
+    """The text "f=<m>:e=<e1,...,ek>" of the character with these
+    exponents mod m; takes a primitive key as it is."""
+    return f"f={modulus}:e={','.join(map(str, exponents))}"
+
+
 def decode_character(text: str) -> DirichletCharacter:
-    """Inverse of DirichletCharacter.encode."""
+    """Inverse of encode."""
     try:
         fpart, epart = text.split(":")
         if not (fpart.startswith("f=") and epart.startswith("e=")):

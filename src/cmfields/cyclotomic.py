@@ -37,24 +37,12 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
                 poly[i] -= c
     for d in divs:
         if mobius(e // d) == -1:
-            poly = _divide_binomial(poly, d)
+            poly, rem = _int_poly_divmod(poly, (-1,) + (0,) * (d - 1) + (1,))
+            if any(rem):
+                raise InternalInconsistency("polynomial division left a remainder")
     if len(poly) != euler_phi(e) + 1 or poly[-1] != 1:
         raise InternalInconsistency(f"Phi_{e} is not monic of degree phi({e})")
     return tuple(poly)
-
-
-def _divide_binomial(p: list[int], d: int) -> list[int]:
-    """p / (x^d - 1), which must leave no remainder.
-
-    p = q * (x^d - 1) reads p_i = q_(i-d) - q_i, so q_i = q_(i-d) - p_i from
-    the bottom up, and the top d coefficients of p must equal q's top d.
-    """
-    q = [0] * (len(p) - d)
-    for i in range(len(q)):
-        q[i] = (q[i - d] if i >= d else 0) - p[i]
-    if any(p[i] != (q[i - d] if i >= d else 0) for i in range(len(q), len(p))):
-        raise InternalInconsistency("polynomial division left a remainder")
-    return q
 
 
 def _int_poly_divmod(num: list[int], den: tuple[int, ...]

@@ -171,7 +171,7 @@ def field_from_generators(
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    m = normalize_cyclotomic_modulus(math.lcm(1, *(g.conductor() for g in gens)))
+    m = math.lcm(1, *(g.conductor() for g in gens))  # never 2 mod 4
     orders = unit_group(m).orders
     lifted = {}
     for g in gens:
@@ -185,7 +185,8 @@ def field_from_generators(
 def cyclotomic_field(m: int, max_degree: int = DEFAULT_MAX_DEGREE) -> AbelianField:
     """Q(zeta_m) as the full character group mod m (m normalized != 2 mod 4)."""
     m = normalize_cyclotomic_modulus(m)
-    if euler_phi(m) > max_degree:
+    # phi(m) >= sqrt(m / 2), so a level past 2 B^2 is rejected unfactored
+    if m > 2 * max_degree**2 or euler_phi(m) > max_degree:
         raise DegreeBoundExceeded(f"phi({m}) exceeds bound {max_degree}")
     return AbelianField(all_characters(m))
 
@@ -194,7 +195,10 @@ def rational_field() -> AbelianField:
     return AbelianField([principal_character(1)])
 
 
+@lru_cache(maxsize=None)
 def is_fundamental_discriminant(d: int) -> bool:
+    """Memoized for the life of the process: the V4 path asks again for
+    discriminants it has already checked."""
     if d == 1 or d == 0:
         return False
     if d % 4 == 1:

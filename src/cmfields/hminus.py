@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import unit_group
-from .characters import DirichletCharacter, galois_orbits
+from .characters import DirichletCharacter, encode, galois_orbits
 from .cyclotomic import CycNumber, absolute_norm
 from .errors import (
     EvenCharacter,
@@ -22,7 +22,7 @@ from .errors import (
     NotClosed,
     PrincipalCharacter,
 )
-from .fields import AbelianField, require_cm
+from .fields import AbelianField
 from .unitindex import UnitIndexVerdict, hasse_unit_index
 
 
@@ -73,8 +73,8 @@ def orbit_factor(rep: DirichletCharacter) -> Fraction:
 
 
 def _orbit_rep(orbit: list[DirichletCharacter]) -> DirichletCharacter:
-    """The canonical representative of an orbit, min by (order, key)."""
-    return min(orbit, key=lambda c: (c.order, c.primitive_key()))
+    """The canonical representative of an orbit, min by primitive key."""
+    return min(orbit, key=DirichletCharacter.primitive_key)
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,9 @@ class MinusReport:
 def minus_class_number(
     K: AbelianField, q_override: Optional[int] = None
 ) -> MinusReport:
-    """Exact h-(K) for a CM abelian field, with per-orbit factors."""
-    require_cm(K)
+    """Exact h-(K) for a CM abelian field, with per-orbit factors, each
+    named by the encoding of its representative's primitive key.
+    `hasse_unit_index` raises NotCMField for a field that is not CM."""
     verdict: UnitIndexVerdict = hasse_unit_index(K, override=q_override)
     w = K.roots_of_unity_order()
     factors = []
@@ -99,7 +100,7 @@ def minus_class_number(
     for orbit in galois_orbits(K.odd_characters()):
         rep = _orbit_rep(orbit)
         norm = orbit_factor(rep)
-        factors.append((rep.primitivize().encode(), norm))
+        factors.append((encode(*rep.primitive_key()), norm))
         total *= norm
     if total.denominator != 1 or total <= 0:
         raise NonIntegralResult(

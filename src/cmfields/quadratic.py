@@ -370,7 +370,6 @@ def ideal_sqrt_of_element(D: int, n: int):
             # split: both conjugate exponents are e; inert: exponent e
             if e % 2:
                 return None
-    f = reduce_form(sqrt.form()) if D < 0 else sqrt.form()
     if D < 0:
-        return ideal_from_form(f)
+        return ideal_from_form(reduce_form(sqrt.form()))
     return sqrt.normalized()

@@ -23,7 +23,6 @@ from .errors import (
     NotSubfield,
     NotV4CM,
     PreconditionViolated,
-    UnsupportedField,
 )
 from .fields import (
     AbelianField,
@@ -213,8 +212,7 @@ def check_metsankyla(
     product_ok = h == h1 * h2 * t1 * t2
     # character-sum identification: T1 as a partial product over the odd
     # characters of L1 L2+ that do not come from L1
-    l1_keys = {c.primitive_key() for c in L1.odd_characters()}
-    new_odd = [c for c in K1.odd_characters() if c.primitive_key() not in l1_keys]
+    new_odd = [c for c in K1.odd_characters() if not L1.contains_character(c)]
     t1_sum = minus_partial_product(new_odd)
     return CheckReport(
         name="metsankyla_factorization",
@@ -330,10 +328,7 @@ def sweep_v4(max_product: int = 2000) -> list[CheckReport]:
                 break
             if math.gcd(d1, d2) != 1:
                 continue
-            try:
-                reports.append(check_v4(d1, d2))
-            except UnsupportedField:
-                continue
+            reports.append(check_v4(d1, d2))
     return reports
 
 
@@ -365,20 +360,20 @@ def _subgroups(orders: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
     return out
 
 
-def _subfields(modulus: int, max_degree: int = DEFAULT_MAX_DEGREE):
+def _subfields(modulus: int):
     """All subfields of Q(zeta_modulus), one per subgroup of its character
     group (`_subgroups` over the orders of the canonical generators)."""
     return [
         field_from_generators(
             [DirichletCharacter(modulus, g) for g in gens]
-            or [principal_character(modulus)], max_degree=max_degree)
+            or [principal_character(modulus)])
         for gens in _subgroups(unit_group(modulus).orders)
     ]
 
 
-def _cm_subfields(modulus: int, max_degree: int = DEFAULT_MAX_DEGREE):
+def _cm_subfields(modulus: int):
     """All CM subfields of Q(zeta_modulus)."""
-    return [f for f in _subfields(modulus, max_degree) if f.is_cm()]
+    return [f for f in _subfields(modulus) if f.is_cm()]
 
 
 def sweep_metsankyla(

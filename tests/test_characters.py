@@ -359,6 +359,13 @@ def test_odd_characters_are_half():
         assert len(odd) * 2 == len(chars)
 
 
+def test_conductors_are_never_2_mod_4():
+    """So neither is an lcm of conductors, the modulus that
+    `field_from_generators` lifts its generators to."""
+    for m in range(1, 200):
+        assert all(c.conductor() % 4 != 2 for c in all_characters(m)), m
+
+
 def test_encode_decode_round_trip():
     for m in (1, 4, 8, 20, 40):
         for chi in all_characters(m):

@@ -203,6 +203,7 @@ def test_error_exit_code(capsys):
     "hminus --field chars:f=5:e=\u00b2",
     "hminus --field zeta:\u0663",
     "hminus --field chars:f=\u0665:e=1",
+    "hminus --field zeta:1000000000000000003",
 ])
 def test_malformed_input_exits_2(capsys, argv):
     try:

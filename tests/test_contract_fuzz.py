@@ -30,6 +30,10 @@ _atom = st.one_of(
     st.builds("quad:{}".format, _discriminants),
     st.builds("chars:f={}:e={}".format, _small, _exps.map(",".join)),
 )
+# zeta levels may be huge: a level past 2 B^2 is rejected before it is
+# factored; `chars:f=` moduli still are factored, so `_small` stays small
+_zeta_levels = st.one_of(st.integers(min_value=-1, max_value=10**30),
+                         st.integers(min_value=10**17, max_value=10**30))
 _junk = st.text(alphabet="zetaquadchrsf=:e,+*-0123456789²٣", max_size=14)
 # mostly well-formed, so that many cases get past the parser
 specs = st.one_of(
@@ -111,6 +115,18 @@ def test_field_specs_parse_or_raise_typed_errors(text, max_degree):
 def test_hminus_argv(spec, max_degree, override, fmt):
     _check_contract(["--max-degree", max_degree, "hminus", "--field", spec,
                      *override, *fmt])
+
+
+@FUZZ
+@given(st.lists(_zeta_levels.map("zeta:{}".format), min_size=1, max_size=3),
+       st.integers(min_value=-1, max_value=48).map(str), formats)
+def test_huge_zeta_levels(levels, max_degree, fmt):
+    _check_contract(["--max-degree", max_degree, "hminus", "--field",
+                     "*".join(levels), *fmt])
+    argv = ["--max-degree", max_degree, "table", "hminus"]
+    for level in levels:
+        argv += ["--spec", level]
+    _check_contract(argv + fmt)
 
 
 @FUZZ

@@ -79,6 +79,35 @@ def test_degree_bound():
         field_from_generators([DirichletCharacter(5, [1])], max_degree=3)
     with pytest.raises(DegreeBoundExceeded):
         cyclotomic_field(101, max_degree=64)
+    # levels past 2 * 256^2 are turned away before they are factored
+    for m, n in ((10**18 + 3, 10**18 + 3), (2 * (10**29 + 1), 10**29 + 1)):
+        with pytest.raises(DegreeBoundExceeded,
+                           match=rf"^phi\({n}\) exceeds bound 256$"):
+            cyclotomic_field(m)
+
+
+def test_phi_bounds_the_level():
+    """phi(m)^2 >= m / 2 for every m <= 10^5, so `cyclotomic_field` can
+    reject a level past 2 B^2 unfactored without turning away one of
+    degree <= B.  phi comes from a sieve, not from `euler_phi`."""
+    phi = list(range(10**5 + 1))
+    for p in range(2, len(phi)):
+        if phi[p] == p:
+            for k in range(p, len(phi), p):
+                phi[k] -= phi[k] // p
+    assert all(2 * phi[m] ** 2 >= m for m in range(1, len(phi)))
+
+
+def test_cyclotomic_degree_bound_matches_phi():
+    for bound in range(1, 13):
+        for m in range(1, 2 * bound**2 + 40):
+            n = normalize_cyclotomic_modulus(m)
+            if euler_phi(n) > bound:
+                with pytest.raises(DegreeBoundExceeded,
+                                   match=rf"^phi\({n}\) exceeds bound {bound}$"):
+                    cyclotomic_field(m, max_degree=bound)
+            else:
+                assert cyclotomic_field(m, max_degree=bound).degree == euler_phi(n)
 
 
 def test_cyclotomic_normalization():
@@ -105,6 +134,12 @@ def test_fundamental_discriminants():
     bad = [0, 1, -1, 2, 3, -5, 9, 16, 18, 45]
     assert all(is_fundamental_discriminant(d) for d in good)
     assert not any(is_fundamental_discriminant(d) for d in bad)
+
+
+def test_fundamental_discriminant_memo_matches_fresh_check():
+    for d in range(-3000, 3001):
+        assert is_fundamental_discriminant(d) == \
+            is_fundamental_discriminant.__wrapped__(d), d
 
 
 def test_cm_and_real_subfield():

@@ -20,6 +20,7 @@ from cmfields.hminus import (
     orbit_factor,
 )
 from cmfields.quadratic import class_number
+from cmfields.theorems import _subfields
 
 
 def test_bernoulli_examples():
@@ -232,13 +233,46 @@ def test_one_bernoulli_sum_per_orbit(monkeypatch, capsys):
     assert len(keys) == done
 
 
+def _primitivized_orbit_names(K):
+    """The orbit names as first computed: the (order, key)-least member of
+    each orbit, made primitive and encoded."""
+    return [min(orbit, key=lambda c: (c.order, c.primitive_key()))
+            .primitivize().encode()
+            for orbit in galois_orbits(K.odd_characters())]
+
+
+def test_orbit_names_match_primitivized_representatives():
+    fields = {K for m in range(1, 61) for K in _subfields(m) if K.is_cm()}
+    fields = sorted(fields, key=lambda K: (K.conductor, K.degree))
+    fields += [cyclotomic_field(m) for m in range(3, 141) if m % 4 != 2]
+    for K in fields:
+        # Q scales only the product; 2 keeps it integral on every field,
+        # those the unit-index cascade does not cover included
+        report = minus_class_number(K, q_override=2)
+        names = [name for name, _ in report.orbit_factors]
+        assert names == _primitivized_orbit_names(K), K
+
+
+def test_orbit_names_do_not_depend_on_member_order(monkeypatch):
+    """`galois_orbits` lists each orbit from its least exponent tuple,
+    whose primitive key is the least too; the name must come from the
+    canonical representative, not from that listing order."""
+    fields = [cyclotomic_field(m) for m in (7, 15, 16, 20, 39, 55)]
+    before = [minus_class_number(K).orbit_factors for K in fields]
+    monkeypatch.setattr(hminus, "galois_orbits", lambda chars: [
+        orbit[::-1] for orbit in galois_orbits(chars)])
+    assert [minus_class_number(K).orbit_factors for K in fields] == before
+
+
 def test_table_builds_each_primitive_once(monkeypatch, capsys):
     from cmfields import characters
 
     pow_calls = []
     built = {}  # id -> (character, primitives built from it)
+    primitivized = []
     original_pow = characters.char_pow
     original_at = DirichletCharacter.at_modulus
+    original_primitivize = DirichletCharacter.primitivize
 
     def counted_pow(chi, k):
         pow_calls.append((chi, k))
@@ -250,11 +284,21 @@ def test_table_builds_each_primitive_once(monkeypatch, capsys):
             entry[1] += 1
         return original_at(self, f)
 
+    def counted_primitivize(self):
+        primitivized.append(self)
+        return original_primitivize(self)
+
     monkeypatch.setattr(hminus, "_ORBIT_FACTORS", {})
     monkeypatch.setattr(characters, "char_pow", counted_pow)
     monkeypatch.setattr(DirichletCharacter, "at_modulus", counted_at)
+    monkeypatch.setattr(DirichletCharacter, "primitivize", counted_primitivize)
     assert main(["table", "hminus", "--zeta-range", "3..40"]) == 0
     assert capsys.readouterr().out
     assert pow_calls == []
     assert not built
+    assert primitivized == []
+    # each orbit is named by its primitive key, so no primitive is built
+    assert main(["verify", "v4", "--sweep", "--max", "300"]) == 0
+    assert capsys.readouterr().out
+    assert primitivized == []
 
