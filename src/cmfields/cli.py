@@ -270,13 +270,15 @@ def cmd_verify(args) -> int:
 
     if args.sweep:
         if check == "masley":
-            reports = sweep_masley(_sweep_bound(args, 60))
+            reports = sweep_masley(_sweep_bound(args, 60), args.max_degree)
         elif check == "v4":
-            reports = sweep_v4(_sweep_bound(args, 2000))
+            reports = sweep_v4(_sweep_bound(args, 2000), args.max_degree)
         elif check == "metsankyla":
-            reports = sweep_metsankyla(_sweep_bound(args, 32))
+            reports = sweep_metsankyla(_sweep_bound(args, 32),
+                                       max_degree=args.max_degree)
         else:
-            reports = sweep_counterexample_family1(_sweep_bound(args, 200))
+            reports = sweep_counterexample_family1(
+                _sweep_bound(args, 200), args.max_degree)
     elif check == "masley":
         m, n = _verify_params(check, args.params, 2, positive=True)
         reports = [check_masley(m, n, args.max_degree)]

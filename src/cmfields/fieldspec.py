@@ -105,7 +105,7 @@ def _parse_chars(text: str, pos: int, start: int) -> tuple[FieldSpec, int]:
             raise ParseError(text, pos, "':e='")
         pos += 3
         exps = []
-        if pos < len(text) and _is_digit(text[pos]):
+        if pos < len(text) and (_is_digit(text[pos]) or text[pos] == "-"):
             while True:
                 value, pos = _parse_int(text, pos)
                 exps.append(value)

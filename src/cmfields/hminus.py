@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .arith import unit_group
@@ -18,6 +19,7 @@ from .characters import DirichletCharacter, encode, galois_orbits
 from .cyclotomic import CycNumber, absolute_norm
 from .errors import (
     EvenCharacter,
+    InternalInconsistency,
     NonIntegralResult,
     NotClosed,
     PrincipalCharacter,
@@ -37,20 +39,41 @@ def bernoulli_b1(chi: DirichletCharacter) -> CycNumber:
         raise EvenCharacter(chi.encode())
     f, exps = chi.primitive_key()
     n = chi.order
-    # (Z/fZ)* as products of canonical generator powers, each residue with
-    # its value exponent t, chi(a) = zeta_n^t
+    # (Z/fZ)* = <smaller generators> x <g>, g of the largest order o.  The
+    # smaller ones make a short prefix of residues u, each with its value
+    # exponent t (chi(u) = zeta_n^t); u g^k has exponent t + k s, periodic
+    # in k with period n / gcd(s, n), which divides o
     ug = unit_group(f)
-    units = [(1, 0)]
-    for g, o, e in zip(ug.generators, ug.orders, exps):
-        step = e * n // o
-        cosets = [units]
-        for _ in range(o - 1):
-            cosets.append([(a * g % f, (t + step) % n) for a, t in cosets[-1]])
-        units = [u for coset in cosets for u in coset]
+    *small, (o, g, e) = sorted(zip(ug.orders, ug.generators, exps))
+    prefix = [(1, 0)]
+    for o_i, g_i, e_i in small:
+        step = e_i * n // o_i
+        prefix = [(u * x % f, (t + k * step) % n)
+                  for k, x in enumerate(_powers(g_i, o_i, f))
+                  for u, t in prefix]
+    s = e * n // o
+    period = n // gcd(s, n)
+    powers = _powers(g, o, f)
     acc = [0] * n
-    for a, t in units:
-        acc[t] += a
+    for u, t in prefix:
+        vals = [u * x % f for x in powers] if u != 1 else powers
+        for r in range(period):
+            acc[(t + r * s) % n] += sum(vals[r::period])
+    # a and f - a are both units, so the residues sum to f phi(f) / 2
+    if sum(acc) * 2 != f * len(prefix) * o:
+        raise InternalInconsistency(
+            f"unit residues mod {f} sum to {sum(acc)}, "
+            f"not {f} * {len(prefix) * o} / 2")
     return CycNumber.from_power_coeffs(n, acc, f)
+
+
+def _powers(g: int, o: int, f: int) -> list[int]:
+    """g^0, ..., g^(o-1) mod f, the list doubled by one multiplier per step."""
+    powers = [1]
+    while len(powers) < o:
+        step = powers[-1] * g % f
+        powers += [x * step % f for x in powers]
+    return powers[:o]
 
 
 # primitive key of an orbit's representative -> orbit_factor

@@ -307,7 +307,9 @@ def fundamental_discriminants(lo: int, hi: int) -> list[int]:
     return [d for d in range(lo, hi + 1) if is_fundamental_discriminant(d)]
 
 
-def sweep_masley(max_modulus: int = 60) -> list[CheckReport]:
+def sweep_masley(
+    max_modulus: int = 60, max_degree: int = DEFAULT_MAX_DEGREE
+) -> list[CheckReport]:
     reports = []
     for big in range(1, max_modulus + 1):
         if big % 4 == 2:
@@ -315,11 +317,13 @@ def sweep_masley(max_modulus: int = 60) -> list[CheckReport]:
         for small in range(1, big + 1):
             if big % small or small % 4 == 2:
                 continue
-            reports.append(check_masley(small, big // small))
+            reports.append(check_masley(small, big // small, max_degree))
     return reports
 
 
-def sweep_v4(max_product: int = 2000) -> list[CheckReport]:
+def sweep_v4(
+    max_product: int = 2000, max_degree: int = DEFAULT_MAX_DEGREE
+) -> list[CheckReport]:
     reports = []
     negatives = sorted(fundamental_discriminants(-max_product, -3), key=abs)
     for i, d1 in enumerate(negatives):
@@ -328,7 +332,7 @@ def sweep_v4(max_product: int = 2000) -> list[CheckReport]:
                 break
             if math.gcd(d1, d2) != 1:
                 continue
-            reports.append(check_v4(d1, d2))
+            reports.append(check_v4(d1, d2, max_degree))
     return reports
 
 
@@ -360,33 +364,35 @@ def _subgroups(orders: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
     return out
 
 
-def _subfields(modulus: int):
+def _subfields(modulus: int, max_degree: int = DEFAULT_MAX_DEGREE):
     """All subfields of Q(zeta_modulus), one per subgroup of its character
     group (`_subgroups` over the orders of the canonical generators)."""
     return [
         field_from_generators(
             [DirichletCharacter(modulus, g) for g in gens]
-            or [principal_character(modulus)])
+            or [principal_character(modulus)], max_degree)
         for gens in _subgroups(unit_group(modulus).orders)
     ]
 
 
-def _cm_subfields(modulus: int):
+def _cm_subfields(modulus: int, max_degree: int = DEFAULT_MAX_DEGREE):
     """All CM subfields of Q(zeta_modulus)."""
-    return [f for f in _subfields(modulus) if f.is_cm()]
+    return [f for f in _subfields(modulus, max_degree) if f.is_cm()]
 
 
 def sweep_metsankyla(
-    max_conductor: int = 32, max_degree: int = 48
+    max_conductor: int = 32, max_compositum: int = 48,
+    max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> list[CheckReport]:
     """All pairs of CM fields of distinct prime-power conductors up to the
-    bound whose compositum degree stays within max_degree."""
+    bound whose compositum degree stays within max_compositum.  A field of
+    degree above max_degree raises DegreeBoundExceeded."""
     prime_powers = [
         n for n in range(3, max_conductor + 1) if len(factorize(n)) == 1 and n % 2 != 0
     ] + [2**k for k in range(2, max_conductor.bit_length()) if 2**k <= max_conductor]
     candidates = []
     for n in sorted(prime_powers):
-        candidates.extend(_cm_subfields(n))
+        candidates.extend(_cm_subfields(n, max_degree))
     # dedupe: subfields of zeta_p^k recur under larger powers
     unique = sorted(set(candidates), key=lambda f: (f.conductor, f.degree))
     reports = []
@@ -394,13 +400,15 @@ def sweep_metsankyla(
         for l2 in unique[i + 1 :]:
             p = factorize(l1.conductor)[0][0]
             q = factorize(l2.conductor)[0][0]
-            if p == q or l1.degree * l2.degree > max_degree:
+            if p == q or l1.degree * l2.degree > max_compositum:
                 continue
             reports.append(check_metsankyla(l1, l2, max_degree=max_degree))
     return reports
 
 
-def sweep_counterexample_family1(max_d2: int = 200) -> list[CheckReport]:
+def sweep_counterexample_family1(
+    max_d2: int = 200, max_degree: int = DEFAULT_MAX_DEGREE
+) -> list[CheckReport]:
     """d1 = -4 against all coprime real fundamental d2 <= bound with even
     h(d1 d2); non-divisibility is predicted in every such case."""
     reports = []
@@ -409,5 +417,5 @@ def sweep_counterexample_family1(max_d2: int = 200) -> list[CheckReport]:
             continue
         if class_number(_fundamental_part(-4 * d2)) % 2:
             continue
-        reports.append(check_counterexample(1, d1=-4, d2=d2))
+        reports.append(check_counterexample(1, max_degree, d1=-4, d2=d2))
     return reports

@@ -198,6 +198,10 @@ def test_error_exit_code(capsys):
     "--max-degree 2 verify v4 -3 -4",
     "--max-degree 2 verify counterexample 1 -4 5",
     "--max-degree 2 verify martinet 17",
+    "--max-degree 3 verify v4 --sweep --max 50",
+    "--max-degree 3 verify masley --sweep --max 10",
+    "--max-degree 3 verify metsankyla --sweep --max 8",
+    "--max-degree 3 verify counterexample --sweep --max 50",
     "hminus --field zeta:\u00b2",
     "hminus --field quad:-\u00b2",
     "hminus --field chars:f=5:e=\u00b2",
@@ -210,9 +214,10 @@ def test_malformed_input_exits_2(capsys, argv):
         code = main(argv.split())
     except SystemExit as exc:
         code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
     assert err.strip() and "Traceback" not in err
+    assert out == ""
 
 
 def test_max_degree_flag(capsys):

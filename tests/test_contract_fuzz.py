@@ -21,7 +21,7 @@ from cmfields.fieldspec import parse_field_spec
 FUZZ = settings(max_examples=50, deadline=None)
 
 _small = st.integers(min_value=-1, max_value=40).map(str)
-_exps = st.lists(st.integers(min_value=-2, max_value=12).map(str), max_size=3)
+_exps = st.lists(st.integers(min_value=-2, max_value=12).map(str), max_size=4)
 _discriminants = st.one_of(
     st.sampled_from([-3, -4, -7, -8, -15, -20, -23, -24, -39, 5, 8, 12]),
     st.integers(min_value=-60, max_value=60))

@@ -29,6 +29,17 @@ def test_chars_empty_exponents():
     assert K.degree == 1
 
 
+def test_chars_leading_negative_exponent():
+    # an exponent is read mod the generator's order, the first one included
+    assert (parse_field_spec("chars:f=5:e=-1").build()
+            == parse_field_spec("chars:f=5:e=3").build())
+    assert (parse_field_spec("chars:f=15:e=-1,-1").build()
+            == parse_field_spec("chars:f=15:e=1,3").build())
+    with pytest.raises(ParseError) as exc:
+        parse_field_spec("chars:f=5:e=-")
+    assert exc.value.offset == 12
+
+
 def test_compositum_left_associative():
     spec = parse_field_spec("zeta:4*zeta:5*zeta:3")
     assert spec.kind == "compositum"

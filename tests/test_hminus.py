@@ -7,11 +7,16 @@ from fractions import Fraction
 import pytest
 
 from cmfields import hminus
-from cmfields.arith import is_prime
+from cmfields.arith import UnitGroupStructure, is_prime, unit_group
 from cmfields.characters import DirichletCharacter, all_characters, galois_orbits
 from cmfields.cli import main
 from cmfields.cyclotomic import CycNumber, absolute_norm, galois_apply
-from cmfields.errors import EvenCharacter, NotClosed, PrincipalCharacter
+from cmfields.errors import (
+    EvenCharacter,
+    InternalInconsistency,
+    NotClosed,
+    PrincipalCharacter,
+)
 from cmfields.fields import cyclotomic_field, is_fundamental_discriminant, quadratic_field
 from cmfields.hminus import (
     bernoulli_b1,
@@ -50,6 +55,52 @@ def test_bernoulli_matches_values():
                 assert bernoulli_b1(chi) == _bernoulli_by_values(chi), chi
                 count += 1
     assert count == 2176
+
+
+def _bernoulli_by_cosets(chi):
+    """B_(1,chi) by the coset walk: (Z/fZ)* built one generator power at a
+    time, each residue with its value exponent."""
+    f, exps = chi.primitive_key()
+    n = chi.order
+    ug = unit_group(f)
+    units = [(1, 0)]
+    for g, o, e in zip(ug.generators, ug.orders, exps):
+        step = e * n // o
+        cosets = [units]
+        for _ in range(o - 1):
+            cosets.append([(a * g % f, (t + step) % n) for a, t in cosets[-1]])
+        units = [u for coset in cosets for u in coset]
+    acc = [0] * n
+    for a, t in units:
+        acc[t] += a
+    return CycNumber.from_power_coeffs(n, acc, f)
+
+
+def test_bernoulli_matches_coset_walk():
+    count = 0
+    for f in range(3, 250):
+        for chi in all_characters(f):
+            if chi.conductor() == f and chi.is_odd():
+                assert bernoulli_b1(chi) == _bernoulli_by_cosets(chi), chi
+                count += 1
+    for d in range(-3000, -2):
+        if is_fundamental_discriminant(d):
+            (chi,) = quadratic_field(d).odd_characters()
+            assert bernoulli_b1(chi) == _bernoulli_by_cosets(chi), d
+            count += 1
+    assert count == 6660
+
+
+def test_bernoulli_certifies_the_residue_sum(monkeypatch):
+    # a unit group that misstates an order walks too few residues
+    def short(m):
+        ug = unit_group(m)
+        return UnitGroupStructure(m, ug.generators, (ug.orders[0] // 2,)
+                                  + ug.orders[1:], ug.blocks)
+
+    monkeypatch.setattr(hminus, "unit_group", short)
+    with pytest.raises(InternalInconsistency):
+        bernoulli_b1(DirichletCharacter(7, [1]))
 
 
 def test_bernoulli_rejects_wrong_parity():

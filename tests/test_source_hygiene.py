@@ -1,7 +1,9 @@
 """Static checks on the package source, with the stdlib `ast` only.
 
 No module in src/cmfields/ except `__init__.py` (whose imports are its
-re-exports) imports a name that it never uses.
+re-exports) imports a name that it never uses, and no module in
+src/cmfields/ has a bare `assert`, which `python -O` strips: a check the
+theory requires raises a typed error.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cmfields"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def _imported(tree):
@@ -55,3 +58,18 @@ def test_check_sees_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\n"
                      "def f(x: 'sep') -> 'list[int]':\n    return 'math'\n")
     assert set(_imported(tree)) - _used(tree) == {"math", "path"}
+
+
+def _asserts(tree):
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_module_has_no_bare_assert(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not _asserts(tree), f"{path.name} has a bare assert on lines {_asserts(tree)}"
+
+
+def test_check_sees_a_bare_assert():
+    tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, x\n    return x\n")
+    assert _asserts(tree) == [3]
