@@ -1,7 +1,7 @@
 """Exact arithmetic for abelian CM-fields: minus class numbers, Hasse
 unit indices, and executable divisibility checks."""
 
-from .arith import Rational, factorize, unit_group
+from .arith import Rational, factorize, is_fundamental_discriminant, unit_group
 from .characters import (
     DirichletCharacter,
     char_mul,
@@ -13,7 +13,6 @@ from .fields import (
     AbelianField,
     cyclotomic_field,
     field_from_generators,
-    is_fundamental_discriminant,
     quadratic_field,
 )
 from .fieldspec import parse_field_spec

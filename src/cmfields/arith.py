@@ -65,6 +65,20 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(abs(n)))
 
 
+@lru_cache(maxsize=None)
+def is_fundamental_discriminant(d: int) -> bool:
+    """Memoized for the life of the process: the V4 path asks again for
+    discriminants it has already checked."""
+    if d == 1 or d == 0:
+        return False
+    if d % 4 == 1:
+        return is_squarefree(d)
+    if d % 4 == 0:
+        q = d // 4
+        return q % 4 in (2, 3) and is_squarefree(q)
+    return False
+
+
 def multiplicative_order(a: int, m: int) -> int:
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} not invertible mod {m}")

@@ -11,7 +11,6 @@ import itertools
 import math
 
 from .arith import discrete_log_table, unit_group
-from .cyclotomic import CycNumber
 from .errors import LengthMismatch, NotClosed
 
 
@@ -147,13 +146,6 @@ class DirichletCharacter:
         for e, ai, o in zip(self.exponents, vec, ug.orders):
             t += e * ai * n // o
         return t % n
-
-    def __call__(self, a: int) -> CycNumber:
-        """chi(a) as an exact element of Q(zeta_order); 0 off (Z/mZ)*."""
-        t = self.value_exponent(a)
-        if t is None:
-            return CycNumber.from_rational(self.order, 0)
-        return CycNumber.zeta(self.order, t)
 
     def parity(self) -> int:
         """chi(-1); -1 means odd."""

@@ -274,8 +274,7 @@ def cmd_verify(args) -> int:
         elif check == "v4":
             reports = sweep_v4(_sweep_bound(args, 2000), args.max_degree)
         elif check == "metsankyla":
-            reports = sweep_metsankyla(_sweep_bound(args, 32),
-                                       max_degree=args.max_degree)
+            reports = sweep_metsankyla(_sweep_bound(args, 32), args.max_degree)
         else:
             reports = sweep_counterexample_family1(
                 _sweep_bound(args, 200), args.max_degree)

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith import euler_phi, factorize, is_squarefree, kronecker, subgroup, unit_group
+from .arith import (euler_phi, factorize, is_fundamental_discriminant,
+                    kronecker, subgroup, unit_group)
 from .characters import DirichletCharacter, all_characters, principal_character
 from .errors import (
     DegreeBoundExceeded,
@@ -193,20 +194,6 @@ def cyclotomic_field(m: int, max_degree: int = DEFAULT_MAX_DEGREE) -> AbelianFie
 
 def rational_field() -> AbelianField:
     return AbelianField([principal_character(1)])
-
-
-@lru_cache(maxsize=None)
-def is_fundamental_discriminant(d: int) -> bool:
-    """Memoized for the life of the process: the V4 path asks again for
-    discriminants it has already checked."""
-    if d == 1 or d == 0:
-        return False
-    if d % 4 == 1:
-        return is_squarefree(d)
-    if d % 4 == 0:
-        q = d // 4
-        return q % 4 in (2, 3) and is_squarefree(q)
-    return False
 
 
 @lru_cache(maxsize=None)

@@ -13,13 +13,12 @@ from enum import Enum
 from functools import lru_cache
 from math import isqrt
 
-from .arith import _xgcd, factorize, kronecker
+from .arith import _xgcd, factorize, is_fundamental_discriminant, kronecker
 from .errors import (
     InternalInconsistency,
     NotFundamentalDiscriminant,
     PreconditionViolated,
 )
-from .fields import is_fundamental_discriminant
 
 
 def _require_fundamental(D: int) -> None:

@@ -168,8 +168,7 @@ def martinet_pair(p: int, max_degree: int = DEFAULT_MAX_DEGREE) -> MartinetRepor
         return MartinetReport(p, norm, None, None)
     K = quadratic_field(-4).compositum(quadratic_field(8 * p), max_degree)
     L = quadratic_field(-4).compositum(quadratic_field(8), max_degree).compositum(
-        quadratic_field(p if p % 4 == 1 else 4 * p), max_degree
-    )
+        quadratic_field(p), max_degree)
     vk = hasse_unit_index(K)
     vl = hasse_unit_index(L)
     if vk.q != 2 or vl.q != 1:

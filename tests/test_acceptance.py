@@ -166,7 +166,7 @@ def test_08_v4_identity_sweep():
 
 
 def test_09_metsankyla_sweep():
-    reports = sweep_metsankyla(32, 48)
+    reports = sweep_metsankyla(32)
     ok = all(r.verdict for r in reports)
     report(9, f"two-prime factorization h- = h1 h2 T1 T2 with integral T "
               f"and matching character sums on {len(reports)} pairs",

@@ -29,11 +29,19 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CHI_M4 = DirichletCharacter(4, [1])
 
 
+def _value(chi, a):
+    """chi(a) as an exact element of Q(zeta_order); 0 off (Z/mZ)*."""
+    t = chi.value_exponent(a)
+    if t is None:
+        return CycNumber.from_rational(chi.order, 0)
+    return CycNumber.zeta(chi.order, t)
+
+
 def test_make_character_examples():
-    assert CHI_M4(3) == -1
+    assert _value(CHI_M4, 3) == -1
     assert principal_character(5).order == 1
     chi8 = DirichletCharacter(8, [1, 0])
-    assert chi8(7) == -1 and chi8(5) == 1 and chi8(3) == -1
+    assert _value(chi8, 7) == -1 and _value(chi8, 5) == 1 and _value(chi8, 3) == -1
 
 
 def test_length_mismatch():
@@ -44,10 +52,10 @@ def test_length_mismatch():
 
 
 def test_evaluate_examples():
-    assert CHI_M4(2) == 0
+    assert _value(CHI_M4, 2) == 0
     chi = DirichletCharacter(5, [1])
-    assert chi(2) == CycNumber.zeta(4, 1)  # 2 is the canonical generator mod 5
-    assert chi(4) == -1
+    assert _value(chi, 2) == CycNumber.zeta(4, 1)  # 2 is the canonical generator mod 5
+    assert _value(chi, 4) == -1
 
 
 def test_conductor_examples():
@@ -329,8 +337,8 @@ def test_multiplicativity_and_periodicity(m, data):
     chi = DirichletCharacter(m, exps)
     a = data.draw(st.integers(min_value=1, max_value=3 * m))
     b = data.draw(st.integers(min_value=1, max_value=3 * m))
-    assert chi(a * b) == chi(a) * chi(b)
-    assert chi(a) == chi(a + m)
+    assert _value(chi, a * b) == _value(chi, a) * _value(chi, b)
+    assert _value(chi, a) == _value(chi, a + m)
 
 
 @settings(max_examples=60)
@@ -344,12 +352,12 @@ def test_conjugation_equivariance(m, data):
     ks = [k for k in range(1, chi.order + 1) if math.gcd(k, chi.order) == 1]
     k = data.draw(st.sampled_from(ks))
     a = data.draw(st.integers(min_value=1, max_value=2 * m))
-    val = chi(a)
+    val = _value(chi, a)
     powed = char_pow(chi, k)
     if val == 0:
-        assert powed(a) == 0
+        assert _value(powed, a) == 0
     else:
-        assert galois_apply(k, val) == powed(a)
+        assert galois_apply(k, val) == _value(powed, a)
 
 
 def test_odd_characters_are_half():

@@ -17,7 +17,13 @@ from cmfields.errors import (
     NotClosed,
     PrincipalCharacter,
 )
-from cmfields.fields import cyclotomic_field, is_fundamental_discriminant, quadratic_field
+from cmfields.fields import (
+    AbelianField,
+    cyclotomic_field,
+    field_from_generators,
+    is_fundamental_discriminant,
+    quadratic_field,
+)
 from cmfields.hminus import (
     bernoulli_b1,
     minus_class_number,
@@ -313,6 +319,25 @@ def test_orbit_names_do_not_depend_on_member_order(monkeypatch):
     monkeypatch.setattr(hminus, "galois_orbits", lambda chars: [
         orbit[::-1] for orbit in galois_orbits(chars)])
     assert [minus_class_number(K).orbit_factors for K in fields] == before
+
+
+def test_orbit_names_survive_a_generator_change():
+    """5 is the smallest primitive root mod p = 40487 but not mod p^2, so the
+    block map does not keep exponent order: at p^2 `galois_orbits` lists the
+    odd orbit from f=40487:e=5877, at p from f=40487:e=653.  The name must
+    still be the least primitive key, the same at either modulus."""
+    p = 40487
+    (o,) = unit_group(p * p).orders
+    at_p2 = AbelianField([DirichletCharacter(p * p, [k * (o // 62)]) for k in range(62)])
+    at_p = field_from_generators([at_p2.chars[1]])
+    assert (at_p2.modulus, at_p.modulus, at_p.degree) == (p * p, p, 62)
+    first = galois_orbits(at_p2.odd_characters())[0][0]
+    assert first.primitive_key() == (p, (5877,))
+    reports = [minus_class_number(K) for K in (at_p2, at_p)]
+    for report in reports:
+        assert [name for name, _ in report.orbit_factors] == [
+            "f=40487:e=653", "f=40487:e=20243"]
+    assert reports[0].h_minus == reports[1].h_minus
 
 
 def test_table_builds_each_primitive_once(monkeypatch, capsys):

@@ -1,9 +1,9 @@
 """Static checks on the package source, with the stdlib `ast` only.
 
 No module in src/cmfields/ except `__init__.py` (whose imports are its
-re-exports) imports a name that it never uses, and no module in
-src/cmfields/ has a bare `assert`, which `python -O` strips: a check the
-theory requires raises a typed error.
+re-exports) imports a name that it never uses or a sibling module that
+LAYERS does not allow, and no module in src/cmfields/ has a bare `assert`,
+which `python -O` strips: a check the theory requires raises a typed error.
 """
 
 import ast
@@ -27,6 +27,38 @@ def _imported(tree):
             for alias in node.names:
                 names[alias.asname or alias.name] = node.lineno
     return names
+
+
+# module -> the sibling modules it may import.  The character layer and the
+# quadratic-form layer stand on `arith` alone, so the quadratic oracles stay
+# independent of the character theory they cross-check, and Q(zeta) numbers
+# reach only the h- engine.
+LAYERS = {
+    "errors": set(),
+    "arith": {"errors"},
+    "cyclotomic": {"arith", "errors"},
+    "characters": {"arith", "errors"},
+    "quadratic": {"arith", "errors"},
+    "fields": {"arith", "characters", "errors"},
+    "unitindex": {"arith", "errors", "fields", "quadratic"},
+    "hminus": {"arith", "characters", "cyclotomic", "errors", "fields", "unitindex"},
+    "theorems": {"arith", "characters", "errors", "fields", "hminus", "quadratic",
+                 "unitindex"},
+    "fieldspec": {"characters", "errors", "fields"},
+    "cli": {"arith", "errors", "fieldspec", "fields", "hminus", "theorems",
+            "unitindex"},
+    "__main__": {"cli"},
+}
+
+
+def _siblings(tree):
+    """The package modules named by each relative import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= ({node.module.split(".")[0]} if node.module
+                      else {alias.name for alias in node.names})
+    return found
 
 
 def _annotations(tree):
@@ -58,6 +90,21 @@ def test_check_sees_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\n"
                      "def f(x: 'sep') -> 'list[int]':\n    return 'math'\n")
     assert set(_imported(tree)) - _used(tree) == {"math", "path"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_lower_layers(path):
+    assert path.stem in LAYERS, f"{path.name} has no entry in LAYERS"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    extra = _siblings(tree) - LAYERS[path.stem]
+    assert not extra, f"{path.name} imports modules above its layer: {sorted(extra)}"
+
+
+def test_check_sees_a_layer_breach():
+    tree = ast.parse("import math\nfrom .arith import kronecker\n"
+                     "from .fields import AbelianField\nfrom . import cyclotomic\n")
+    assert _siblings(tree) == {"arith", "cyclotomic", "fields"}
+    assert _siblings(tree) - LAYERS["quadratic"] == {"cyclotomic", "fields"}
 
 
 def _asserts(tree):
