@@ -7,7 +7,7 @@ here as `Rational`; it is exact and always stored in lowest terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -179,19 +179,17 @@ def subgroup(orders, gens, max_size=None) -> set[tuple[int, ...]]:
     return group
 
 
-@dataclass(frozen=True)
-class UnitGroupStructure:
+class UnitGroupStructure(
+        namedtuple("UnitGroupStructure", "modulus generators orders blocks")):
     """Canonical generators of (Z/mZ)* with their orders.
 
     Every residue coprime to m is uniquely a product of generator powers
     with exponents reduced modulo the orders.  `blocks[i]` records the
-    prime-power part of m that generator i came from.
+    prime-power part of m that generator i came from.  The last three
+    fields are tuples of int.
     """
 
-    modulus: int
-    generators: tuple[int, ...]
-    orders: tuple[int, ...]
-    blocks: tuple[int, ...]
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

@@ -265,7 +265,7 @@ def cmd_verify(args) -> int:
             print(f"[{status}] martinet p={rep.p} norm={rep.unit_norm} "
                   f"Q_K={rep.q_biquadratic} Q_L={rep.q_octic}")
         if args.json:
-            print(json.dumps([rep.__dict__ for rep in out]))
+            print(json.dumps([rep._asdict() for rep in out]))
         return 0
 
     if args.sweep:

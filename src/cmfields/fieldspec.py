@@ -11,7 +11,7 @@ Whitespace-free; parse errors carry byte offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .characters import DirichletCharacter
 from .errors import DegreeBoundExceeded, ParseError
@@ -24,11 +24,11 @@ from .fields import (
 )
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    kind: str  # "zeta" | "quad" | "chars" | "compositum"
-    raw: str
-    payload: tuple
+class FieldSpec(namedtuple("FieldSpec", "kind raw payload")):
+    """A parsed spec: kind is "zeta", "quad", "chars" or "compositum", raw
+    the text it was read from, payload a tuple of the kind's values."""
+
+    __slots__ = ()
 
     def build(self, max_degree: int = DEFAULT_MAX_DEGREE) -> AbelianField:
         if self.kind == "zeta":

@@ -9,10 +9,9 @@ product is certified, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
 from .arith import unit_group
 from .characters import DirichletCharacter, encode, galois_orbits
@@ -91,7 +90,10 @@ def orbit_factor(rep: DirichletCharacter) -> Fraction:
     key = rep.primitive_key()
     norm = _ORBIT_FACTORS.get(key)
     if norm is None:
-        norm = _ORBIT_FACTORS[key] = absolute_norm(-bernoulli_b1(rep) / 2)
+        # N(-B/2) = N(B) / (-2)^phi over the phi = len(b.num) conjugates;
+        # phi is odd only at level 2
+        b = bernoulli_b1(rep)
+        norm = _ORBIT_FACTORS[key] = absolute_norm(b) / (-2) ** len(b.num)
     return norm
 
 
@@ -100,18 +102,16 @@ def _orbit_rep(orbit: list[DirichletCharacter]) -> DirichletCharacter:
     return min(orbit, key=DirichletCharacter.primitive_key)
 
 
-@dataclass(frozen=True)
-class MinusReport:
-    field: AbelianField
-    q: int
-    w: int
-    rule: str
-    orbit_factors: tuple[tuple[str, Fraction], ...]  # (representative, norm)
-    h_minus: int
+class MinusReport(
+        namedtuple("MinusReport", "field q w rule orbit_factors h_minus")):
+    """h-(field) with its unit index q, the rule that gave q, w, and one
+    (representative encoding, norm) pair per orbit in `orbit_factors`."""
+
+    __slots__ = ()
 
 
 def minus_class_number(
-    K: AbelianField, q_override: Optional[int] = None
+    K: AbelianField, q_override: int | None = None
 ) -> MinusReport:
     """Exact h-(K) for a CM abelian field, with per-orbit factors, each
     named by the encoding of its representative's primitive key.

@@ -8,7 +8,7 @@ Only fundamental discriminants are accepted; callers normalize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
@@ -30,13 +30,10 @@ def _require_fundamental(D: int) -> None:
 # forms
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(namedtuple("QuadForm", "a b c")):
     """Binary quadratic form a x^2 + b xy + c y^2."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
     @property
     def discriminant(self) -> int:
@@ -124,18 +121,20 @@ def _rho(f: QuadForm) -> QuadForm:
 
 def form_cycle(f: QuadForm) -> list[QuadForm]:
     """The cycle of reduced forms through reduce_form(f) (D > 0)."""
+    return list(_cycle(f))
+
+
+def _cycle(f: QuadForm):
+    """Yield the forms of form_cycle(f) one at a time."""
     D = f.discriminant
-    start = reduce_form(f)
+    start = g = reduce_form(f)
     # proven bound on the period, with slack
-    bound = 10 * (isqrt(D) + 2) * (D.bit_length() + 2)
-    cycle = [start]
-    g = _rho(start)
-    while g != start:
-        cycle.append(g)
+    for _ in range(10 * (isqrt(D) + 2) * (D.bit_length() + 2)):
+        yield g
         g = _rho(g)
-        if len(cycle) > bound:
-            raise InternalInconsistency(f"cycle bound exceeded for D={D}")
-    return cycle
+        if g == start:
+            return
+    raise InternalInconsistency(f"cycle bound exceeded for D={D}")
 
 
 def reduced_forms(D: int) -> list[QuadForm]:
@@ -241,18 +240,19 @@ class SplitType(Enum):
     RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
-class QuadIdeal:
+class QuadIdeal(namedtuple("QuadIdeal", "D a b")):
     """Primitive ideal in normal form Z*a + Z*(b + sqrt(D))/2, a = norm > 0."""
 
-    D: int
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a <= 0 or (self.b * self.b - self.D) % (4 * self.a):
+    def __new__(cls, D: int, a: int, b: int):
+        if a <= 0 or (b * b - D) % (4 * a):
             raise PreconditionViolated(
-                f"({self.a}, {self.b}) is not an ideal of discriminant {self.D}")
+                f"({a}, {b}) is not an ideal of discriminant {D}")
+        return super().__new__(cls, D, a, b)
+
+    # _replace builds through _make, which would skip the check above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def normalized(self) -> "QuadIdeal":
         return QuadIdeal(self.D, self.a, self.b % (2 * self.a))
@@ -334,7 +334,7 @@ def is_principal(I: QuadIdeal) -> bool:
     f = I.form()
     if I.D < 0:
         return reduce_form(f) == principal_form(I.D)
-    return any(abs(g.a) == 1 for g in form_cycle(f))
+    return any(abs(g.a) == 1 for g in _cycle(f))
 
 
 def split_prime(D: int, p: int):
@@ -360,15 +360,13 @@ def ideal_sqrt_of_element(D: int, n: int):
         raise ValueError("n must be nonzero")
     sqrt = unit_ideal(D)
     for p, e in factorize(abs(n)):
-        typ, ideal = split_prime(D, p)
-        if typ == SplitType.RAMIFIED:
-            # v_P(n) = 2e, the square root picks up P^e
-            if e % 2:
-                sqrt = ideal_mul(sqrt, ideal)
-        else:
+        if kronecker(D, p):
             # split: both conjugate exponents are e; inert: exponent e
             if e % 2:
                 return None
+        elif e % 2:
+            # ramified: v_P(n) = 2e, the square root picks up P^e
+            sqrt = ideal_mul(sqrt, split_prime(D, p)[1])
     if D < 0:
         return ideal_from_form(reduce_form(sqrt.form()))
     return sqrt.normalized()

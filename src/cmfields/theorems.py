@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from .arith import (divisors, factorize, is_fundamental_discriminant, subgroup,
                     unit_group)
@@ -37,14 +36,24 @@ from .quadratic import class_number, is_principal, split_prime, SplitType
 from .unitindex import hasse_unit_index
 
 
-@dataclass
 class CheckReport:
-    name: str
-    inputs: dict
-    quantities: dict = dc_field(default_factory=dict)
-    verdict: bool = False
-    vacuous: bool = False
-    statement: str = ""
+    """One check's inputs, exact quantities and verdict; vacuous when the
+    instance falls outside the statement's hypotheses."""
+
+    __slots__ = ("name", "inputs", "quantities", "verdict", "vacuous", "statement")
+
+    def __init__(self, name: str, inputs: dict, quantities: dict | None = None,
+                 verdict: bool = False, vacuous: bool = False, statement: str = ""):
+        self.name = name
+        self.inputs = inputs
+        self.quantities = {} if quantities is None else quantities
+        self.verdict = verdict
+        self.vacuous = vacuous
+        self.statement = statement
+
+    def __eq__(self, other):
+        return type(other) is CheckReport and all(
+            getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     def summary(self) -> str:
         status = "vacuous" if self.vacuous else ("pass" if self.verdict else "FAIL")
@@ -110,7 +119,7 @@ def check_v4(d1: int, d2: int, max_degree: int = DEFAULT_MAX_DEGREE) -> CheckRep
     for L = Q(sqrt(d1), sqrt(d2)) with two imaginary quadratic subfields."""
     for d in (d1, d2):
         if not is_fundamental_discriminant(d):
-            raise NotFundamentalDiscriminant(str(d))
+            raise NotFundamentalDiscriminant(f"{d} is not a fundamental discriminant")
     if not (d1 < 0 and d2 < 0 and d1 != d2):
         raise NotV4CM("need two distinct negative fundamental discriminants")
     L = quadratic_field(d1).compositum(quadratic_field(d2), max_degree)
@@ -148,7 +157,7 @@ def derived_kuroda_q(d1: int, d2: int) -> Fraction:
     checked to lie in {1, 2, 4}."""
     for d in (d1, d2):
         if not is_fundamental_discriminant(d):
-            raise NotFundamentalDiscriminant(str(d))
+            raise NotFundamentalDiscriminant(f"{d} is not a fundamental discriminant")
     if not (d1 < 0 and d2 < 0 or (d1 < 0 < d2) or (d2 < 0 < d1)):
         raise NotV4CM("need at least one imaginary quadratic subfield")
     L = quadratic_field(d1).compositum(quadratic_field(d2))

@@ -9,8 +9,7 @@ re-invoke with an explicit override.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .arith import euler_phi, factorize, is_prime
 from .errors import InternalInconsistency, PreconditionViolated, UnsupportedField
@@ -38,17 +37,21 @@ RULE_TWO_SQUARE_PRINCIPAL = "norm2-square-principal"
 RULE_TWO_SQUARE_NONPRINCIPAL = "norm2-square-nonprincipal"
 
 
-@dataclass(frozen=True)
-class UnitIndexVerdict:
-    q: int  # Hasse unit index, 1 or 2
-    kappa_order: Optional[int]  # |capitulation kernel|, 1 or 2; None if unknown
-    rule: str
+class UnitIndexVerdict(namedtuple("UnitIndexVerdict", "q kappa_order rule")):
+    """Hasse unit index q (1 or 2), the order of the capitulation kernel
+    (1 or 2; None if unknown) and the cascade rule that decided them."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, q: int, kappa_order: int | None, rule: str):
         # Q = 2 forces trivial capitulation
-        if self.q not in (1, 2) or (self.q == 2 and self.kappa_order != 1):
+        if q not in (1, 2) or (q == 2 and kappa_order != 1):
             raise InternalInconsistency(
-                f"unit index {self.q} with capitulation kernel {self.kappa_order}")
+                f"unit index {q} with capitulation kernel {kappa_order}")
+        return super().__new__(cls, q, kappa_order, rule)
+
+    # _replace builds through _make, which would skip the check above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _is_full_cyclotomic(K: AbelianField) -> bool:
@@ -60,7 +63,7 @@ def _is_prime_power(n: int) -> bool:
 
 
 def hasse_unit_index(
-    K: AbelianField, override: Optional[int] = None
+    K: AbelianField, override: int | None = None
 ) -> UnitIndexVerdict:
     """Unit index and capitulation-kernel order of a supported CM-field."""
     require_cm(K)
@@ -150,12 +153,13 @@ def _biquadratic_verdict(K: AbelianField) -> UnitIndexVerdict:
     return UnitIndexVerdict(1, 2, RULE_TWO_SQUARE_NONPRINCIPAL)
 
 
-@dataclass(frozen=True)
-class MartinetReport:
-    p: int
-    unit_norm: int  # norm of the fundamental unit of Q(sqrt(2p))
-    q_biquadratic: Optional[int]  # Q of Q(i, sqrt(2p)) when unit_norm = +1
-    q_octic: Optional[int]  # Q of Q(i, sqrt(2), sqrt(p)) when unit_norm = +1
+class MartinetReport(
+        namedtuple("MartinetReport", "p unit_norm q_biquadratic q_octic")):
+    """unit_norm is the norm of the fundamental unit of Q(sqrt(2p)); when it
+    is +1, q_biquadratic and q_octic are Q of Q(i, sqrt(2p)) and of
+    Q(i, sqrt(2), sqrt(p)), else None."""
+
+    __slots__ = ()
 
 
 def martinet_pair(p: int, max_degree: int = DEFAULT_MAX_DEGREE) -> MartinetReport:

@@ -106,6 +106,12 @@ def test_verify_v4(capsys):
     assert out.startswith("[pass] v4_identity")
 
 
+def test_verify_v4_names_the_bad_discriminant(capsys):
+    code, out, err = run(capsys, "verify", "v4", "3", "-4")
+    assert (code, out) == (2, "")
+    assert err == "error: 3 is not a fundamental discriminant\n"
+
+
 def test_verify_counterexample(capsys):
     code, out, _ = run(capsys, "verify", "counterexample", "1", "-4", "5")
     assert code == 0 and "[pass]" in out

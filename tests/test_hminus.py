@@ -263,6 +263,23 @@ def test_orbit_factor_constant_on_orbits(monkeypatch):
             assert values == {absolute_norm(-bernoulli_b1(orbit[0]) / 2)}, orbit
 
 
+def test_orbit_factor_divides_norm_of_b_by_power_of_minus_two(monkeypatch):
+    """N(-B/2) = N(B) / (-2)^phi, checked against the norm of -B/2 itself
+    on every orbit of `table hminus --zeta-range 3..140`; level 2 (odd
+    phi = 1, where the sign shows) included."""
+    monkeypatch.setattr(hminus, "_ORBIT_FACTORS", {})
+    levels = set()
+    for m in range(3, 141):
+        if m % 4 == 2:
+            continue
+        for orbit in galois_orbits(cyclotomic_field(m).odd_characters()):
+            rep = hminus._orbit_rep(orbit)
+            b = bernoulli_b1(rep)
+            assert orbit_factor(rep) == absolute_norm(-b / 2), (m, rep.encode())
+            levels.add(b.level)
+    assert 2 in levels
+
+
 def test_warm_and_cleared_memo_agree():
     fields = [cyclotomic_field(m) for m in range(3, 61) if m % 4 != 2]
     warm = [minus_class_number(K) for K in fields]

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from cmfields import unitindex
+from cmfields.arith import factorize, is_prime
 from cmfields.errors import NotFundamentalDiscriminant
 from cmfields.fields import is_fundamental_discriminant
 from cmfields.quadratic import (
@@ -25,6 +27,7 @@ from cmfields.quadratic import (
     split_prime,
     unit_ideal,
 )
+from cmfields.theorems import sweep_v4
 
 
 def test_class_number_examples():
@@ -173,8 +176,6 @@ def test_ideal_sqrt_against_direct_squaring():
         assert got is not None
         # the primitive part of got^2 matches the primitive part of (n)
         sq = ideal_pow(got, 2)
-        from cmfields.arith import factorize
-
         expect = unit_ideal(D)
         for p, e in factorize(abs(n)):
             typ, ideal = split_prime(D, p)
@@ -217,3 +218,61 @@ def test_form_cycle_closes():
         assert reduce_form(f) in cycle
         assert all(g.discriminant == D for g in cycle)
         assert len(cycle) % 2 == 0  # rho alternates the sign of a
+
+
+def _is_principal_whole_cycle(I):
+    """is_principal as first written: the whole form cycle, then any()."""
+    f = I.form()
+    if I.D < 0:
+        return reduce_form(f) == principal_form(I.D)
+    return any(abs(g.a) == 1 for g in form_cycle(f))
+
+
+def _ideal_sqrt_by_split_prime(D, n):
+    """ideal_sqrt_of_element as first written: split_prime on every prime."""
+    sqrt = unit_ideal(D)
+    for p, e in factorize(abs(n)):
+        typ, ideal = split_prime(D, p)
+        if typ == SplitType.RAMIFIED:
+            if e % 2:
+                sqrt = ideal_mul(sqrt, ideal)
+        elif e % 2:
+            return None
+    if D < 0:
+        return ideal_from_form(reduce_form(sqrt.form()))
+    return sqrt.normalized()
+
+
+def test_is_principal_matches_whole_cycle_on_small_prime_ideals():
+    checked = principal = 0
+    for D in range(5, 2001):
+        if not is_fundamental_discriminant(D):
+            continue
+        for p in filter(is_prime, range(2, 50)):
+            _, ideal = split_prime(D, p)
+            if ideal is not None:
+                got = is_principal(ideal)
+                assert got == _is_principal_whole_cycle(ideal), (D, p)
+                checked, principal = checked + 1, principal + got
+    assert 0 < principal < checked
+
+
+def test_ideal_sqrt_matches_split_prime_walk_on_the_v4_sweep(monkeypatch):
+    """Every (D, d1) that the biquadratic verdict meets on
+    `verify v4 --sweep`, and the principality of each square root."""
+    seen = set()
+
+    def recorded(D, n):
+        seen.add((D, n))
+        return ideal_sqrt_of_element(D, n)
+
+    monkeypatch.setattr(unitindex, "ideal_sqrt_of_element", recorded)
+    sweep_v4(2000)
+    results = set()
+    for D, n in sorted(seen):
+        got = ideal_sqrt_of_element(D, n)
+        assert got == _ideal_sqrt_by_split_prime(D, n), (D, n)
+        if got is not None:
+            assert is_principal(got) == _is_principal_whole_cycle(got), (D, n)
+        results.add(None if got is None else is_principal(got))
+    assert {False, True} <= results

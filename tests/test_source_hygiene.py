@@ -4,9 +4,13 @@ No module in src/cmfields/ except `__init__.py` (whose imports are its
 re-exports) imports a name that it never uses or a sibling module that
 LAYERS does not allow, and no module in src/cmfields/ has a bare `assert`,
 which `python -O` strips: a check the theory requires raises a typed error.
+No module imports `dataclasses` or `typing`, which would load `inspect`,
+`ast` and more before every command (checked also by a real import).
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +124,45 @@ def test_module_has_no_bare_assert(path):
 def test_check_sees_a_bare_assert():
     tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, x\n    return x\n")
     assert _asserts(tree) == [3]
+
+
+# stdlib modules that cost every command start-up time and buy the package
+# nothing: `dataclasses` loads `inspect`, `ast`, `dis`, `tokenize` and more
+SLOW_IMPORTS = {"dataclasses", "typing"}
+
+
+def _absolute_imports(tree):
+    """The top-level module named by each absolute import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_module_imports_no_slow_stdlib_module(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    slow = _absolute_imports(tree) & SLOW_IMPORTS
+    assert not slow, f"{path.name} imports {sorted(slow)}"
+
+
+def test_check_sees_a_slow_import():
+    tree = ast.parse("import dataclasses as dc\nfrom typing import Optional\n"
+                     "from __future__ import annotations\nfrom .typing import x\n"
+                     "import collections.abc\n")
+    assert _absolute_imports(tree) == {"dataclasses", "typing", "__future__",
+                                       "collections"}
+    assert _absolute_imports(tree) & SLOW_IMPORTS == {"dataclasses", "typing"}
+
+
+def test_cli_import_leaves_slow_modules_unloaded():
+    """`python3 -S` skips site, whose .pth files may load these themselves."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cmfields.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

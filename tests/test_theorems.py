@@ -79,6 +79,13 @@ def test_v4_preconditions():
         check_v4(-4, -4)
 
 
+def test_non_fundamental_discriminant_is_named():
+    for check in (check_v4, derived_kuroda_q):
+        with pytest.raises(NotFundamentalDiscriminant,
+                           match="^-12 is not a fundamental discriminant$"):
+            check(-4, -12)
+
+
 def test_kuroda_q_examples():
     assert derived_kuroda_q(-4, 5) == 1
     assert derived_kuroda_q(-4, 40) == 1
