@@ -8,7 +8,7 @@ from .characters import (
     char_pow,
     galois_orbits,
 )
-from .cyclotomic import CycNumber, absolute_norm, cyclotomic_polynomial, galois_apply, pi_element
+from .cyclotomic import CycNumber, absolute_norm, cyclotomic_polynomial, galois_apply
 from .fields import (
     AbelianField,
     cyclotomic_field,
@@ -57,7 +57,6 @@ __all__ = [
     "minus_class_number",
     "minus_partial_product",
     "parse_field_spec",
-    "pi_element",
     "quadratic_field",
     "split_prime",
     "unit_group",

@@ -1,12 +1,19 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_e).
+"""The norm kernel for Q(zeta_e): fold, reduce mod Phi_e, take the norm.
 
-Elements are stored on the power basis 1, z, ..., z^(phi(e)-1) modulo the
-e-th cyclotomic polynomial, as integer numerators over one common
-denominator.  Everything here is exact; there is no floating point
-anywhere in this package.
+The h- engine needs three things here.  `CycNumber.from_power_coeffs`
+folds an integer vector sum_j c_j zeta^j and reduces it mod the e-th
+cyclotomic polynomial, `CycNumber` holds the result on the power basis
+1, z, ..., z^(phi(e)-1) as integer numerators over one denominator, and
+`absolute_norm` takes its norm down to Q as an exact `Fraction`.  There
+is no floating point anywhere in this package.
 
 For even e, zeta_e^(e/2) = -1, so Phi_e divides x^(e/2) + 1 and the work
 before a reduction mod Phi_e is done in the half ring Z[x]/(x^(e/2) + 1).
+
+`CycNumber` has no arithmetic.  The field arithmetic that checks the
+kernel (sums, products, lifts, cross-level equality) is a subclass in
+`tests/cycoracle.py`.  `galois_apply` stays here as the conjugate map
+that oracle multiplies out; it returns its argument's class.
 """
 
 from __future__ import annotations
@@ -79,30 +86,17 @@ def _fold(level: int, coeffs) -> list[int]:
 
 
 class CycNumber:
-    """Element of Q(zeta_e) on the power basis mod Phi_e.
+    """Element of Q(zeta_e) on the power basis mod Phi_e, e = `level`.
 
-    Stored as integer numerators `num` over one positive common denominator
-    `den` in lowest terms, gcd(den, *num) = 1, so zero is (0, ..., 0)/1 and
-    two elements of one level are equal exactly when their fields are.
-    Immutable.  Arithmetic requires equal levels; callers lift explicitly
-    via `lift` when mixing levels (Q(zeta_e) embeds in Q(zeta_e') for e | e').
+    Integer numerators `num`, phi(e) of them, over one positive common
+    denominator `den`, in lowest terms: gcd(den, *num) = 1.  Immutable,
+    and with no arithmetic: the program only builds these (B_(1,chi) by
+    `from_power_coeffs`) and takes their norms.
     """
 
     __slots__ = ("level", "num", "den")
 
-    def __init__(self, level: int, coeffs):
-        n = euler_phi(level)
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != n:
-            raise ValueError(f"level {level} needs {n} coordinates, got {len(coeffs)}")
-        # the lcm of lowest-terms denominators leaves gcd(den, *num) = 1
-        den = math.lcm(1, *(c.denominator for c in coeffs))
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "num", tuple(
-            c.numerator * (den // c.denominator) for c in coeffs))
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):  # pragma: no cover
+    def __setattr__(self, *a):
         raise AttributeError("CycNumber is immutable")
 
     @classmethod
@@ -121,16 +115,6 @@ class CycNumber:
         return x
 
     @classmethod
-    def from_rational(cls, level: int, value) -> "CycNumber":
-        q = Fraction(value)
-        num = [q.numerator] + [0] * (euler_phi(level) - 1)
-        return cls._from_ints(level, num, q.denominator)
-
-    @classmethod
-    def zeta(cls, level: int, power: int = 1) -> "CycNumber":
-        return cls.from_power_coeffs(level, [0] * (power % level) + [1])
-
-    @classmethod
     def from_power_coeffs(cls, level: int, coeffs, den: int = 1) -> "CycNumber":
         """Build (sum_j coeffs[j] * zeta^j) / den from integer coefficients
         of any length (exponents taken mod level) and a nonzero integer den.
@@ -142,136 +126,10 @@ class CycNumber:
         _, rem = _int_poly_divmod(_fold(level, coeffs), cyclotomic_polynomial(level))
         return cls._from_ints(level, rem, den)
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The power-basis coordinates as Fractions."""
-        return tuple(Fraction(c, self.den) for c in self.num)
-
-    # -- predicates ------------------------------------------------------
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def as_rational(self) -> Rational:
-        if not self.is_rational():
-            raise InternalInconsistency(f"not rational: {self!r}")
-        return Fraction(self.num[0], self.den)
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
-    # -- arithmetic ------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, CycNumber):
-            if other.level != self.level:
-                raise ValueError(
-                    f"level mismatch {self.level} vs {other.level}; lift first"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycNumber.from_rational(self.level, other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        return CycNumber._from_ints(
-            self.level, [a * sa + b * sb for a, b in zip(self.num, other.num)], den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycNumber._from_ints(self.level, [-a for a in self.num], self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + -other
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycNumber._from_ints(
-                self.level, [a * q.numerator for a in self.num],
-                self.den * q.denominator)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        prod = [0] * (2 * len(self.num) - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num):
-                    if b:
-                        prod[i + j] += a * b
-        return CycNumber.from_power_coeffs(self.level, prod, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        """Division by a nonzero rational."""
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if other == 0:
-            raise ZeroDivisionError
-        q = Fraction(other)
-        return CycNumber._from_ints(
-            self.level, [a * q.denominator for a in self.num],
-            self.den * q.numerator)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_rational() == other
-        if isinstance(other, CycNumber):
-            a, b = self, other
-            if a.level != b.level:
-                lcm = math.lcm(a.level, b.level)
-                a, b = a.lift(lcm), b.lift(lcm)
-            return a.num == b.num and a.den == b.den
-        return NotImplemented
-
-    def __hash__(self):
-        """Hash of the normalized trace Tr(x)/phi(e).  It does not depend on
-        the level that holds x, so elements equal across levels hash equal,
-        and on a rational q it is q itself."""
-        weights = _trace_weights(self.level)
-        return hash(Fraction(sum(c * w for c, w in zip(self.num, weights) if c),
-                             self.den))
-
-    def __repr__(self):
-        return f"CycNumber(level={self.level}, coeffs={[str(c) for c in self.coeffs]})"
-
-    # -- structure maps --------------------------------------------------
-
-    def lift(self, new_level: int) -> "CycNumber":
-        """Image under the embedding Q(zeta_e) -> Q(zeta_e'), e | e'."""
-        if new_level == self.level:
-            return self
-        if new_level % self.level:
-            raise ValueError(f"{self.level} does not divide {new_level}")
-        step = new_level // self.level
-        acc = [0] * ((len(self.num) - 1) * step + 1)
-        for j, c in enumerate(self.num):
-            acc[j * step] = c
-        return CycNumber.from_power_coeffs(new_level, acc, self.den)
-
-
-@lru_cache(maxsize=None)
-def _trace_weights(e: int) -> tuple[Fraction, ...]:
-    """Tr(zeta_e^i)/phi(e) = mu(e/g)/phi(e/g), g = gcd(i, e), for i < phi(e)."""
-    return tuple(Fraction(mobius(e // g), euler_phi(e // g))
-                 for g in (math.gcd(i, e) for i in range(euler_phi(e))))
-
 
 def galois_apply(k: int, x: CycNumber) -> CycNumber:
-    """The automorphism zeta -> zeta^k of Q(zeta_e), gcd(k, e) = 1."""
+    """The automorphism zeta -> zeta^k of Q(zeta_e), gcd(k, e) = 1, as an
+    element of x's own class."""
     e = x.level
     if math.gcd(k, e) != 1:
         raise NotCoprime(f"gcd({k}, {e}) != 1")
@@ -279,7 +137,7 @@ def galois_apply(k: int, x: CycNumber) -> CycNumber:
     for i, c in enumerate(x.num):
         if c:
             acc[(i * k) % e] += c
-    return CycNumber.from_power_coeffs(e, acc, x.den)
+    return x.from_power_coeffs(e, acc, x.den)
 
 
 def absolute_norm(x: CycNumber) -> Rational:
@@ -373,17 +231,4 @@ def _negacyclic_mul(a: list[int], b: list[int]) -> list[int]:
     raw = (low - high + offset).to_bytes(width * h, "little")
     return [int.from_bytes(raw[i:i + width], "little") - half
             for i in range(0, width * h, width)]
-
-
-def pi_element(m: int) -> CycNumber:
-    """2 + zeta + 1/zeta for the 2^m-th root of unity, at level 2^m.
-
-    Totally real of norm 2 down its real tower; satisfies
-    (pi_m - 2)^2 = pi_(m-1) after lifting levels.
-    """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    e = 2**m
-    z = CycNumber.zeta(e)
-    return z + CycNumber.zeta(e, e - 1) + 2
 

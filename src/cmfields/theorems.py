@@ -247,7 +247,8 @@ def check_counterexample(
     if family == 1:
         d1, d2 = params["d1"], params["d2"]
         if d1 not in (-4, -8) and not (
-            is_fundamental_discriminant(d1) and (-d1) % 4 == 3 and len(factorize(-d1)) == 1
+            d1 < 0 and is_fundamental_discriminant(d1) and (-d1) % 4 == 3
+            and len(factorize(-d1)) == 1
         ):
             raise PreconditionViolated(f"d1={d1} is not a negative prime discriminant")
         if not (d2 > 0 and is_fundamental_discriminant(d2) and math.gcd(d1, d2) == 1):

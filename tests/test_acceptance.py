@@ -4,7 +4,7 @@ throughout.  Each test prints a single [pass]/[FAIL] line."""
 import math
 
 from cmfields.arith import euler_phi, factorize, is_prime
-from cmfields.cyclotomic import absolute_norm, galois_apply, pi_element
+from cmfields.cyclotomic import absolute_norm, galois_apply
 from cmfields.errors import NonIntegralResult, UnsupportedField
 from cmfields.fields import cyclotomic_field, quadratic_field
 from cmfields.hminus import minus_class_number
@@ -33,6 +33,7 @@ from cmfields.unitindex import (
     hasse_unit_index,
     martinet_pair,
 )
+from cycoracle import pi_element
 
 
 def report(num: int, desc: str, ok: bool) -> None:

@@ -192,6 +192,8 @@ def test_error_exit_code(capsys):
     "verify masley 3 5 --sweep",
     "verify metsankyla 5 7 --sweep",
     "verify counterexample 1 -4 5 --sweep",
+    "verify counterexample 1 5 8",
+    "verify counterexample 1 13 8",
     "verify martinet 17 --sweep",
     "verify v4 -4 -20 --max 0",
     "verify martinet 17 --max 0",

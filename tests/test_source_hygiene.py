@@ -6,6 +6,7 @@ LAYERS does not allow, and no module in src/cmfields/ has a bare `assert`,
 which `python -O` strips: a check the theory requires raises a typed error.
 No module imports `dataclasses` or `typing`, which would load `inspect`,
 `ast` and more before every command (checked also by a real import).
+Every name in `cmfields.__all__` resolves.
 """
 
 import ast
@@ -18,6 +19,14 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "cmfields"
 ALL_MODULES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+
+
+def test_every_exported_name_resolves():
+    import cmfields
+
+    assert len(set(cmfields.__all__)) == len(cmfields.__all__)
+    missing = [name for name in cmfields.__all__ if not hasattr(cmfields, name)]
+    assert not missing, f"cmfields.__all__ names what it does not define: {missing}"
 
 
 def _imported(tree):
