@@ -208,6 +208,9 @@ def cmd_table(args) -> int:
         print(json.dumps(_jsonable(rows)))
     elif args.csv:
         _print_csv(rows)
+        for row in rows:
+            if "error" in row:
+                print(f"error: {row['field']}: {row['error']}", file=sys.stderr)
     else:
         columns = CSV_COLUMNS if args.kind == "hminus" else [
             "field", "conductor", "degree", "Q", "kappa", "rule"]

@@ -10,10 +10,20 @@ is no floating point anywhere in this package.
 For even e, zeta_e^(e/2) = -1, so Phi_e divides x^(e/2) + 1 and the work
 before a reduction mod Phi_e is done in the half ring Z[x]/(x^(e/2) + 1).
 
+The norm goes down the tower Q(zeta_n) > Q(zeta_(n/q)) > ... > Q one
+prime-power block q of (Z/nZ)* at a time, the smallest group first, so
+the largest group's products run in the smallest ring.  Each step down
+is a Ramanujan-sum projection, checked twice: an exact division by
+p - 1, and the lift back up, which must give the orbit product again.
+Both checks and the final "the norm is rational" raise
+`InternalInconsistency`.
+
 `CycNumber` has no arithmetic.  The field arithmetic that checks the
 kernel (sums, products, lifts, cross-level equality) is a subclass in
-`tests/cycoracle.py`.  `galois_apply` stays here as the conjugate map
-that oracle multiplies out; it returns its argument's class.
+`tests/cycoracle.py`, next to `norm_whole_ring`, the product over every
+generator in the whole half ring that the descent replaced.
+`galois_apply` stays here as the conjugate map the oracle multiplies
+out; it returns its argument's class.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import Rational, divisors, euler_phi, mobius, unit_group
+from .arith import Rational, divisors, euler_phi, factorize, mobius, unit_group
 from .errors import InternalInconsistency, NotCoprime
 
 
@@ -67,6 +77,25 @@ def _int_poly_divmod(num: list[int], den: tuple[int, ...]
             for j, dj in terms:
                 num[i + j] -= c * dj
     return quot, num[:dn]
+
+
+@lru_cache(maxsize=None)
+def _phi_terms(e: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(e), the nonzero (j, c) of Phi_e below its leading term)."""
+    phi = cyclotomic_polynomial(e)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce(num: list[int], e: int) -> list[int]:
+    """num mod Phi_e, phi(e) coefficients; num is at least phi(e) long and
+    is used up as scratch."""
+    dn, terms = _phi_terms(e)
+    for i in range(len(num) - dn - 1, -1, -1):
+        c = num[i + dn]
+        if c:
+            for j, dj in terms:
+                num[i + j] -= c * dj
+    return num[:dn]
 
 
 def _fold(level: int, coeffs) -> list[int]:
@@ -123,8 +152,7 @@ class CycNumber:
         reduced once mod Phi_level."""
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        _, rem = _int_poly_divmod(_fold(level, coeffs), cyclotomic_polynomial(level))
-        return cls._from_ints(level, rem, den)
+        return cls._from_ints(level, _reduce(_fold(level, coeffs), level), den)
 
 
 def galois_apply(k: int, x: CycNumber) -> CycNumber:
@@ -149,24 +177,113 @@ def absolute_norm(x: CycNumber) -> Rational:
     primitive n-th root of unity, so the image is a conjugate of x with
     the same norm.  The half ring maps onto Q(zeta_n) by a ring map
     commuting with every sigma_k, and there sigma_k is a signed permutation
-    of the coefficients (`_sigma`).  For each canonical generator g of
-    order o of (Z/nZ)*, P becomes prod_(j<o) sigma_(g^j)(P), built by the
-    binary digits of o.  One reduction mod Phi_n at the end must leave a
-    rational c, and the norm is c / den^phi(n).
+    of the coefficients (`_sigma`).
+
+    The norm goes down the tower one prime-power block q || n of (Z/nZ)*
+    at a time, the smallest group first.  For each canonical generator g
+    of order o of the block, P becomes prod_(j<o) sigma_(g^j)(P), built by
+    the binary digits of o.  While another block is left, P now lies in
+    Q(zeta_(n/q)) and `_descend` carries it there, checked, so the next
+    block works in a ring about phi(q) times smaller.  At the last block
+    one reduction mod Phi_n must leave a rational c, and the norm is
+    c / den^phi(n).  A level with one block takes no descent.
     """
-    n = x.level
-    poly = list(x.num)
-    if n % 2:
-        poly = [-c if i % 2 else c for i, c in enumerate(poly)]
-        n *= 2
-    poly += [0] * (n // 2 - len(poly))
-    ug = unit_group(n)
-    for g, o in zip(ug.generators, ug.orders):
-        poly = _orbit_product(poly, g, o)
-    _, rem = _int_poly_divmod(poly, cyclotomic_polynomial(n))
+    poly, n = _half_ring(list(x.num), x.level)
+    while True:
+        gens, descent = _level_plan(n)
+        for g, o in gens:
+            poly = _orbit_product(poly, g, o)
+        if descent is None:
+            break
+        poly, n = _descend(poly, n, descent)
+    rem = _reduce(poly, n)
     if any(rem[1:]):
         raise InternalInconsistency("norm did not land in Q")
     return Fraction(rem[0], x.den ** len(x.num))
+
+
+@lru_cache(maxsize=None)
+def _level_plan(n: int):
+    """(gens, descent) for the even level n.
+
+    gens lists (g, o) for the canonical generators of the block q = p^k
+    of (Z/nZ)* with the smallest group (ties to the smaller q).  descent
+    is None when no other block has generators.  Else it is
+    (r, p, proj, lift) with r = n/q:
+      - proj lists (a, j, w): coefficient a of P adds w * P_a to
+        coefficient j at level r, in Z[y]/(y^(r/2) + 1) for even r and in
+        Z[y]/(y^r - 1) for odd r.  With eta = zeta_n^e, e = 1 mod r and
+        e = 0 mod q, the trace of zeta_n^a down the block is
+        eta^a * c_q(a), c_q the Ramanujan sum, so w is c_q(a) (p-1)/phi(q):
+        p - 1 if q | a, -1 if q/p | a and q does not, else 0 (folded sign
+        included);
+      - lift lists (j, i, s): eta^j = s * x^i in the half ring of n.
+    """
+    ug = unit_group(n)
+    blocks = {}
+    for g, o, q in zip(ug.generators, ug.orders, ug.blocks):
+        blocks.setdefault(q, []).append((g, o))
+    if len(blocks) < 2:
+        return tuple(zip(ug.generators, ug.orders)), None
+    q = min(blocks, key=lambda q: (euler_phi(q), q))
+    ((p, _),) = factorize(q)
+    r, h = n // q, n // 2
+    e = q * pow(q, -1, r) % n
+    fold = r // 2 if r % 2 == 0 else 0
+    proj = []
+    for a in range(h):
+        if a % q == 0:
+            w = p - 1
+        elif a % (q // p) == 0:
+            w = -1
+        else:
+            continue
+        j = a % r
+        if fold and j >= fold:
+            j, w = j - fold, -w
+        proj.append((a, j, w))
+    lift = []
+    for j in range(euler_phi(r)):
+        i = j * e % n
+        lift.append((j, i, 1) if i < h else (j, i - h, -1))
+    return tuple(blocks[q]), (r, p, tuple(proj), tuple(lift))
+
+
+def _descend(poly: list[int], n: int, descent) -> tuple[list[int], int]:
+    """Carry P, the half-ring image of an element of Q(zeta_r) at level n,
+    down to level r (to 2r when r is odd, as `absolute_norm` lifts odd
+    levels); returns (coefficients, new even level).
+
+    (p-1) P = sum_a w_a P_a eta^a, reduced mod Phi_r, must divide exactly
+    by p - 1, and lifted back through eta^j = zeta_n^(je) it must equal P
+    mod Phi_n.  Either failure raises InternalInconsistency.
+    """
+    r, p, proj, lift = descent
+    acc = [0] * (r // 2 if r % 2 == 0 else r)
+    for a, j, w in proj:
+        acc[j] += w * poly[a]
+    low = _reduce(acc, r)
+    if p > 2:
+        if any(c % (p - 1) for c in low):
+            raise InternalInconsistency(
+                f"projection to Q(zeta_{r}) not divisible by {p - 1}")
+        low = [c // (p - 1) for c in low]
+    diff = list(poly)
+    for j, i, s in lift:
+        diff[i] -= s * low[j]
+    if any(_reduce(diff, n)):
+        raise InternalInconsistency(f"orbit product not in Q(zeta_{r})")
+    return _half_ring(low, r)
+
+
+def _half_ring(poly: list[int], n: int) -> tuple[list[int], int]:
+    """poly, an element of Q(zeta_n) on the power basis, as n'/2
+    coefficients of the half ring of the even level n' = n or 2n; an odd
+    level takes zeta_n -> -zeta_2n, a conjugate with the same norm."""
+    if n % 2:
+        poly = [-c if i % 2 else c for i, c in enumerate(poly)]
+        n *= 2
+    return poly + [0] * (n // 2 - len(poly)), n
 
 
 def _orbit_product(p: list[int], g: int, o: int) -> list[int]:

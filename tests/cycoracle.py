@@ -6,6 +6,8 @@ and `absolute_norm`.  `Cyc` subclasses that `CycNumber` and adds the field
 arithmetic the tests check the kernel with, so `absolute_norm` and
 `galois_apply` take a `Cyc` unchanged, and `galois_apply` returns one.
 `Cyc.of` reads a value the program built, such as `bernoulli_b1(chi)`.
+`norm_whole_ring` is the norm kernel before its descent down the tower,
+the oracle for `absolute_norm`.
 
 Arithmetic requires equal levels; lift explicitly with `lift` when mixing
 levels (Q(zeta_e) embeds in Q(zeta_e') for e | e').  Equality and the hash
@@ -16,8 +18,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from cmfields.arith import euler_phi, mobius
-from cmfields.cyclotomic import CycNumber
+from cmfields.arith import euler_phi, mobius, unit_group
+from cmfields.cyclotomic import (
+    CycNumber, _int_poly_divmod, _orbit_product, cyclotomic_polynomial)
 from cmfields.errors import InternalInconsistency
 
 
@@ -179,3 +182,23 @@ def pi_element(m: int) -> Cyc:
         raise ValueError(f"need m >= 2, got {m}")
     e = 2**m
     return Cyc.zeta(e) + Cyc.zeta(e, e - 1) + 2
+
+
+def norm_whole_ring(x: CycNumber) -> Fraction:
+    """The norm of x with every Galois step in the full half ring
+    Z[x]/(x^(n/2) + 1), n the even level, and one reduction mod Phi_n at
+    the end: the kernel `absolute_norm` replaced by its descent down the
+    tower, kept as its oracle."""
+    n = x.level
+    poly = list(x.num)
+    if n % 2:
+        poly = [-c if i % 2 else c for i, c in enumerate(poly)]
+        n *= 2
+    poly += [0] * (n // 2 - len(poly))
+    ug = unit_group(n)
+    for g, o in zip(ug.generators, ug.orders):
+        poly = _orbit_product(poly, g, o)
+    _, rem = _int_poly_divmod(poly, cyclotomic_polynomial(n))
+    if any(rem[1:]):
+        raise InternalInconsistency("norm did not land in Q")
+    return Fraction(rem[0], x.den ** len(x.num))

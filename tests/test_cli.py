@@ -86,6 +86,26 @@ def test_table_error_rows_and_strict(capsys):
     assert code == 1
 
 
+def test_table_csv_reports_error_rows_on_stderr(capsys):
+    # the CSV row of a failed spec is blank past the field name, so the
+    # reason goes to stderr, one line per error row; stdout is unchanged
+    code, out, err = run(capsys, "table", "hminus", "--spec", "zeta:5",
+                         "--spec", "bogus", "--spec", "zeta:1", "--csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "field,conductor,degree,w,Q,rule,h_minus",
+        "zeta:5,5,4,10,1,cyclotomic-prime-power,1",
+        "bogus,,,,,,",
+        "zeta:1,,,,,,",
+    ]
+    assert err.splitlines() == [
+        "error: bogus: at offset 0: expected 'zeta:', 'quad:' or 'chars:' in 'bogus'",
+        "error: zeta:1: AbelianField(conductor=1, degree=1) is not CM",
+    ]
+    code, out, err = run(capsys, "table", "hminus", "--zeta-range", "3..8", "--csv")
+    assert code == 0 and err == ""
+
+
 def test_table_determinism(capsys):
     args = ("table", "hminus", "--zeta-range", "3..20", "--csv")
     _, first, _ = run(capsys, *args)

@@ -44,7 +44,8 @@ def test_conjugate_map_is_where_the_tracer_rebinds_it(tracer):
     assert callable(tracer.load_modules()["cyclotomic"].galois_apply)
 
 
-@pytest.mark.parametrize("text", ["zeta:120", "quad:-23"])
+# zeta:139 has an orbit at level 138 = 2 * 3 * 23, where the norm descends
+@pytest.mark.parametrize("text", ["zeta:120", "zeta:139", "quad:-23"])
 def test_norm_input_sits_at_the_character_order(text):
     orbits = galois_orbits(parse_field_spec(text).build().odd_characters())
     assert orbits
