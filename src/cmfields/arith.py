@@ -11,7 +11,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DegreeBoundExceeded, InternalInconsistency, PreconditionViolated
+from .errors import (DegreeBoundExceeded, InternalInconsistency,
+                     NotFundamentalDiscriminant, PreconditionViolated)
 
 Rational = Fraction
 
@@ -77,6 +78,11 @@ def is_fundamental_discriminant(d: int) -> bool:
         q = d // 4
         return q % 4 in (2, 3) and is_squarefree(q)
     return False
+
+
+def require_fundamental_discriminant(d: int) -> None:
+    if not is_fundamental_discriminant(d):
+        raise NotFundamentalDiscriminant(f"{d} is not a fundamental discriminant")
 
 
 def multiplicative_order(a: int, m: int) -> int:

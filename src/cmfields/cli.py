@@ -36,7 +36,11 @@ from .theorems import (
 )
 from .unitindex import hasse_unit_index, martinet_pair
 
-CSV_COLUMNS = ["field", "conductor", "degree", "w", "Q", "rule", "h_minus"]
+# the columns of each table kind, in both its text and its CSV form
+COLUMNS = {
+    "hminus": ["field", "conductor", "degree", "w", "Q", "rule", "h_minus"],
+    "unitindex": ["field", "conductor", "degree", "Q", "kappa", "rule"],
+}
 
 
 def main(argv=None) -> int:
@@ -155,16 +159,16 @@ def cmd_hminus(args) -> int:
     if args.json:
         print(json.dumps(_jsonable(row)))
     elif args.csv:
-        _print_csv([row])
+        _print_csv([row], COLUMNS["hminus"])
     else:
-        for key in CSV_COLUMNS:
+        for key in COLUMNS["hminus"]:
             print(f"{key:>10}: {row[key]}")
     return 0
 
 
-def _print_csv(rows) -> None:
+def _print_csv(rows, columns) -> None:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
     writer.writeheader()
     writer.writerows(rows)
     sys.stdout.write(buf.getvalue())
@@ -204,16 +208,15 @@ def cmd_table(args) -> int:
             rows.append({"field": s, "error": str(exc)})
             errors += 1
 
+    columns = COLUMNS[args.kind]
     if args.json:
         print(json.dumps(_jsonable(rows)))
     elif args.csv:
-        _print_csv(rows)
+        _print_csv(rows, columns)
         for row in rows:
             if "error" in row:
                 print(f"error: {row['field']}: {row['error']}", file=sys.stderr)
     else:
-        columns = CSV_COLUMNS if args.kind == "hminus" else [
-            "field", "conductor", "degree", "Q", "kappa", "rule"]
         widths = {c: max([len(c)] + [len(str(r.get(c, ""))) for r in rows])
                   for c in columns}
         print("  ".join(c.ljust(widths[c]) for c in columns))
@@ -236,12 +239,14 @@ def _verify_params(check: str, params: list[int], count: int,
     return params
 
 
-def _sweep_bound(args, default: int) -> int:
+def _sweep_bound(args) -> tuple[int, ...]:
+    """--max as the sweep's bound argument, or none when it is not given,
+    so the sweep's own default applies."""
     if args.max is None:
-        return default
+        return ()
     if args.max < 1:
         raise PreconditionViolated(f"--max must be at least 1, got {args.max}")
-    return args.max
+    return (args.max,)
 
 
 def cmd_verify(args) -> int:
@@ -258,7 +263,7 @@ def cmd_verify(args) -> int:
                         f"verify martinet needs primes = 1 mod 8, got {p}")
             primes = args.params
         else:
-            bound = _sweep_bound(args, 200)
+            (bound,) = _sweep_bound(args) or (200,)
             primes = [p for p in range(2, bound + 1) if p % 8 == 1 and is_prime(p)]
         # every pair is built before the first line is printed, so a field
         # error exits 2 with nothing on stdout
@@ -272,15 +277,10 @@ def cmd_verify(args) -> int:
         return 0
 
     if args.sweep:
-        if check == "masley":
-            reports = sweep_masley(_sweep_bound(args, 60), args.max_degree)
-        elif check == "v4":
-            reports = sweep_v4(_sweep_bound(args, 2000), args.max_degree)
-        elif check == "metsankyla":
-            reports = sweep_metsankyla(_sweep_bound(args, 32), args.max_degree)
-        else:
-            reports = sweep_counterexample_family1(
-                _sweep_bound(args, 200), args.max_degree)
+        sweep = {"masley": sweep_masley, "v4": sweep_v4,
+                 "metsankyla": sweep_metsankyla,
+                 "counterexample": sweep_counterexample_family1}[check]
+        reports = sweep(*_sweep_bound(args), max_degree=args.max_degree)
     elif check == "masley":
         m, n = _verify_params(check, args.params, 2, positive=True)
         reports = [check_masley(m, n, args.max_degree)]

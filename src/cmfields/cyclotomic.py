@@ -7,6 +7,10 @@ cyclotomic polynomial, `CycNumber` holds the result on the power basis
 `absolute_norm` takes its norm down to Q as an exact `Fraction`.  There
 is no floating point anywhere in this package.
 
+Phi_e is built once per level from prod_(d | e) (x^d - 1)^mu(e/d), each
+division by x^d - 1 one in-place pass from the top that must leave no
+remainder.  `_reduce` is the one loop that divides by Phi_e.
+
 For even e, zeta_e^(e/2) = -1, so Phi_e divides x^(e/2) + 1 and the work
 before a reduction mod Phi_e is done in the half ring Z[x]/(x^(e/2) + 1).
 
@@ -41,7 +45,9 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Coefficients of Phi_e, low to high; monic of degree phi(e).
 
     Phi_e = prod_(d | e) (x^d - 1)^mu(e/d): multiply by the binomials with
-    mu(e/d) = +1, then divide exactly by those with mu(e/d) = -1.
+    mu(e/d) = +1, then divide exactly by those with mu(e/d) = -1.  The
+    quotient by x^d - 1 comes from the top, q_(i-d) = c_i + q_i, in place:
+    the quotient is left above x^d and the remainder below it.
     """
     if e < 1:
         raise ValueError(f"need e >= 1, got {e}")
@@ -54,29 +60,14 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
                 poly[i] -= c
     for d in divs:
         if mobius(e // d) == -1:
-            poly, rem = _int_poly_divmod(poly, (-1,) + (0,) * (d - 1) + (1,))
-            if any(rem):
+            for i in range(len(poly) - 1, d - 1, -1):
+                poly[i - d] += poly[i]
+            if any(poly[:d]):
                 raise InternalInconsistency("polynomial division left a remainder")
+            poly = poly[d:]
     if len(poly) != euler_phi(e) + 1 or poly[-1] != 1:
         raise InternalInconsistency(f"Phi_{e} is not monic of degree phi({e})")
     return tuple(poly)
-
-
-def _int_poly_divmod(num: list[int], den: tuple[int, ...]
-                     ) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials; den must be monic and
-    num at least deg(den) long."""
-    num = list(num)
-    dn = len(den) - 1
-    terms = [(j, dj) for j, dj in enumerate(den[:-1]) if dj]
-    quot = [0] * (len(num) - dn)
-    for i in range(len(quot) - 1, -1, -1):
-        c = num[i + dn]
-        quot[i] = c
-        if c:
-            for j, dj in terms:
-                num[i + j] -= c * dj
-    return quot, num[:dn]
 
 
 @lru_cache(maxsize=None)

@@ -9,14 +9,13 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith import (euler_phi, factorize, is_fundamental_discriminant,
-                    kronecker, subgroup, unit_group)
+from .arith import (euler_phi, factorize, kronecker,
+                    require_fundamental_discriminant, subgroup, unit_group)
 from .characters import DirichletCharacter, all_characters, principal_character
 from .errors import (
     DegreeBoundExceeded,
     InternalInconsistency,
     NotCMField,
-    NotFundamentalDiscriminant,
     PreconditionViolated,
 )
 
@@ -202,8 +201,7 @@ def quadratic_field(d: int) -> AbelianField:
 
     Memoized for the life of the process: a field is immutable, so every
     caller shares one object and its cached invariants."""
-    if not is_fundamental_discriminant(d):
-        raise NotFundamentalDiscriminant(f"{d} is not a fundamental discriminant")
+    require_fundamental_discriminant(d)
     m = abs(d)
     ug = unit_group(m)
     exps = []

@@ -13,17 +13,8 @@ from enum import Enum
 from functools import lru_cache
 from math import isqrt
 
-from .arith import _xgcd, factorize, is_fundamental_discriminant, kronecker
-from .errors import (
-    InternalInconsistency,
-    NotFundamentalDiscriminant,
-    PreconditionViolated,
-)
-
-
-def _require_fundamental(D: int) -> None:
-    if not is_fundamental_discriminant(D):
-        raise NotFundamentalDiscriminant(f"{D} is not a fundamental discriminant")
+from .arith import _xgcd, factorize, kronecker, require_fundamental_discriminant
+from .errors import InternalInconsistency, PreconditionViolated
 
 
 # --------------------------------------------------------------------------
@@ -139,7 +130,7 @@ def _cycle(f: QuadForm):
 
 def reduced_forms(D: int) -> list[QuadForm]:
     """All reduced forms of fundamental discriminant D < 0."""
-    _require_fundamental(D)
+    require_fundamental_discriminant(D)
     if D >= 0:
         raise PreconditionViolated(f"reduced_forms needs D < 0, got {D}")
     out = []
@@ -156,7 +147,7 @@ def reduced_forms(D: int) -> list[QuadForm]:
 
 
 def reduced_indefinite_forms(D: int) -> list[QuadForm]:
-    _require_fundamental(D)
+    require_fundamental_discriminant(D)
     if D <= 0:
         raise PreconditionViolated(f"indefinite forms need D > 0, got {D}")
     s = isqrt(D)
@@ -180,7 +171,7 @@ def class_number(D: int, narrow: bool = False) -> int:
     """h(D) by reduced-form enumeration (wide by default for D > 0).
 
     Memoized for the life of the process on (D, narrow)."""
-    _require_fundamental(D)
+    require_fundamental_discriminant(D)
     if D < 0:
         return len(reduced_forms(D))
     forms = set(reduced_indefinite_forms(D))
@@ -220,7 +211,7 @@ def surd_continued_fraction(P: int, Q: int, d: int) -> tuple[list[int], int]:
 def fundamental_unit_norm(D: int) -> int:
     """Norm (+1 or -1) of the fundamental unit, by the parity of the
     continued fraction period of the standard quadratic surd."""
-    _require_fundamental(D)
+    require_fundamental_discriminant(D)
     if D <= 0:
         raise PreconditionViolated(f"fundamental_unit_norm needs D > 0, got {D}")
     if D % 4 == 1:
@@ -339,7 +330,7 @@ def is_principal(I: QuadIdeal) -> bool:
 
 def split_prime(D: int, p: int):
     """(split | inert | ramified, prime ideal above p or None if inert)."""
-    _require_fundamental(D)
+    require_fundamental_discriminant(D)
     sym = kronecker(D, p)
     if sym == -1:
         return SplitType.INERT, None
@@ -355,7 +346,7 @@ def ideal_sqrt_of_element(D: int, n: int):
     discriminant D, return that square root (primitive part, reduced);
     otherwise None.  None signals essential ramification when n generates
     the relative quadratic extension."""
-    _require_fundamental(D)
+    require_fundamental_discriminant(D)
     if n == 0:
         raise ValueError("n must be nonzero")
     sqrt = unit_ideal(D)

@@ -11,14 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from .arith import (divisors, factorize, is_fundamental_discriminant, subgroup,
-                    unit_group)
+from .arith import (divisors, factorize, is_fundamental_discriminant,
+                    require_fundamental_discriminant, subgroup, unit_group)
 from .characters import DirichletCharacter, principal_character
 from .errors import (
     DegreeBoundExceeded,
     EvenIndex,
     InternalInconsistency,
-    NotFundamentalDiscriminant,
     NotPrimePowerConductors,
     NotSubfield,
     NotV4CM,
@@ -118,8 +117,7 @@ def check_v4(d1: int, d2: int, max_degree: int = DEFAULT_MAX_DEGREE) -> CheckRep
     h-(L) = (Q(L)/(Q1 Q2)) (w_L/(w1 w2)) h-(K1) h-(K2)
     for L = Q(sqrt(d1), sqrt(d2)) with two imaginary quadratic subfields."""
     for d in (d1, d2):
-        if not is_fundamental_discriminant(d):
-            raise NotFundamentalDiscriminant(f"{d} is not a fundamental discriminant")
+        require_fundamental_discriminant(d)
     if not (d1 < 0 and d2 < 0 and d1 != d2):
         raise NotV4CM("need two distinct negative fundamental discriminants")
     L = quadratic_field(d1).compositum(quadratic_field(d2), max_degree)
@@ -156,8 +154,7 @@ def derived_kuroda_q(d1: int, d2: int) -> Fraction:
     over the rational base field, reported as a derived value and
     checked to lie in {1, 2, 4}."""
     for d in (d1, d2):
-        if not is_fundamental_discriminant(d):
-            raise NotFundamentalDiscriminant(f"{d} is not a fundamental discriminant")
+        require_fundamental_discriminant(d)
     if not (d1 < 0 and d2 < 0 or (d1 < 0 < d2) or (d2 < 0 < d1)):
         raise NotV4CM("need at least one imaginary quadratic subfield")
     L = quadratic_field(d1).compositum(quadratic_field(d2))

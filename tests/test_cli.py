@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output formats, determinism, exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ import sys
 import jsonschema
 import pytest
 
+from cmfields import cli, theorems
 from cmfields.cli import main
+from cmfields.fields import DEFAULT_MAX_DEGREE
 
 from pathlib import Path
 
@@ -70,6 +73,24 @@ def test_table_unitindex_specs(capsys):
     assert code == 0
     rows = json.loads(out)
     assert [r["Q"] for r in rows] == [2, 1]
+
+
+def test_table_unitindex_csv_carries_the_json_values(capsys):
+    # the CSV form of a unit-index table has the text form's columns, with
+    # kappa, and each row holds the values of the --json form
+    specs = ("--spec", "zeta:15", "--spec", "zeta:16", "--spec", "quad:-4*quad:40")
+    code, out, _ = run(capsys, "table", "unitindex", *specs, "--csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "field,conductor,degree,Q,kappa,rule",
+        "zeta:15,15,8,2,1,cyclotomic-composite",
+        "zeta:16,16,8,1,1,cyclotomic-prime-power",
+        "quad:-4*quad:40,40,4,1,2,norm2-square-nonprincipal",
+    ]
+    _, js, _ = run(capsys, "table", "unitindex", *specs, "--json")
+    header, *lines = out.splitlines()
+    assert lines == [",".join(str(row[c]) for c in header.split(","))
+                     for row in json.loads(js)]
 
 
 def test_table_empty(capsys):
@@ -172,6 +193,41 @@ def test_verify_sweep_max_one(capsys):
         assert code in (0, 1) and err == "", check
     code, out, _ = run(capsys, "verify", "martinet", "--max", "1")
     assert code == 0 and out == ""
+
+
+SWEEPS = {"masley": "sweep_masley", "v4": "sweep_v4",
+          "metsankyla": "sweep_metsankyla",
+          "counterexample": "sweep_counterexample_family1"}
+
+
+def test_verify_sweep_bound_defaults_live_in_theorems(capsys, monkeypatch):
+    # without --max the CLI passes no bound, so the sweep's own default
+    # applies; with --max it passes that bound, and --max 0 runs nothing
+    calls = []
+
+    def recorder(check, name):
+        real = getattr(theorems, name)
+        bound_param = next(iter(inspect.signature(real).parameters))
+
+        def sweep(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs).arguments
+            calls.append((check, bound.get(bound_param), bound.get("max_degree")))
+            return []
+        return sweep
+
+    for check, name in SWEEPS.items():
+        monkeypatch.setattr(cli, name, recorder(check, name))
+    for check in SWEEPS:
+        calls.clear()
+        assert run(capsys, "verify", check, "--sweep")[0] == 0
+        assert calls == [(check, None, DEFAULT_MAX_DEGREE)]
+        calls.clear()
+        assert run(capsys, "--max-degree", "9", "verify", check,
+                   "--sweep", "--max", "7")[0] == 0
+        assert calls == [(check, 7, 9)]
+        calls.clear()
+        assert run(capsys, "verify", check, "--sweep", "--max", "0")[:2] == (2, "")
+        assert calls == []
 
 
 def test_error_exit_code(capsys):

@@ -16,14 +16,15 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmfields.arith import euler_phi, is_prime
+from cmfields import cyclotomic
+from cmfields.arith import euler_phi, is_prime, mobius
 from cmfields.cyclotomic import (
     CycNumber,
     absolute_norm,
     cyclotomic_polynomial,
     galois_apply,
 )
-from cmfields.errors import NotCoprime
+from cmfields.errors import InternalInconsistency, NotCoprime
 from cycoracle import Cyc, pi_element
 
 
@@ -55,6 +56,24 @@ def _phi_by_division(e):
 def test_cyclotomic_polynomial_matches_division():
     for e in range(1, 400):
         assert cyclotomic_polynomial(e) == _phi_by_division(e), e
+
+
+def test_cyclotomic_polynomial_remainder_check_fires(monkeypatch):
+    """With mu(6) read as -1, Phi_6 would be (x^6 - 1) over
+    (x - 1)(x^2 - 1)(x^3 - 1), which is no polynomial: the in-place
+    division must raise, not return a wrong quotient."""
+    flipped = lambda n: -mobius(n) if n == 6 else mobius(n)
+    monkeypatch.setattr(cyclotomic, "mobius", flipped)
+    cyclotomic.cyclotomic_polynomial.cache_clear()
+    cyclotomic._phi_terms.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistency, match="remainder"):
+            cyclotomic.cyclotomic_polynomial(6)
+    finally:
+        monkeypatch.undo()
+        cyclotomic.cyclotomic_polynomial.cache_clear()
+        cyclotomic._phi_terms.cache_clear()
+    assert cyclotomic.cyclotomic_polynomial(6) == (1, -1, 1)
 
 
 def test_cyclotomic_polynomial_degree_and_monic():

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from cmfields.arith import divisors, euler_phi, factorize, unit_group
+from cmfields.arith import (divisors, euler_phi, factorize,
+                            is_fundamental_discriminant, unit_group)
 from cmfields.characters import (
     DirichletCharacter,
     all_characters,
@@ -26,7 +27,6 @@ from cmfields.fields import (
     AbelianField,
     cyclotomic_field,
     field_from_generators,
-    is_fundamental_discriminant,
     normalize_cyclotomic_modulus,
     quadratic_field,
     rational_field,

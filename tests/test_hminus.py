@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from cmfields import hminus
-from cmfields.arith import UnitGroupStructure, is_prime, unit_group
+from cmfields.arith import (UnitGroupStructure, is_fundamental_discriminant,
+                            is_prime, unit_group)
 from cmfields.characters import DirichletCharacter, all_characters, galois_orbits
 from cmfields.cli import main
 from cmfields.cyclotomic import absolute_norm, galois_apply
@@ -21,7 +22,6 @@ from cmfields.fields import (
     AbelianField,
     cyclotomic_field,
     field_from_generators,
-    is_fundamental_discriminant,
     quadratic_field,
 )
 from cmfields.hminus import (

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from cmfields import unitindex
-from cmfields.arith import factorize, is_prime
+from cmfields.arith import factorize, is_fundamental_discriminant, is_prime
 from cmfields.errors import NotFundamentalDiscriminant
-from cmfields.fields import is_fundamental_discriminant
 from cmfields.quadratic import (
     QuadForm,
     QuadIdeal,

@@ -4,6 +4,8 @@ No module in src/cmfields/ except `__init__.py` (whose imports are its
 re-exports) imports a name that it never uses or a sibling module that
 LAYERS does not allow, and no module in src/cmfields/ has a bare `assert`,
 which `python -O` strips: a check the theory requires raises a typed error.
+Only `arith` raises `NotFundamentalDiscriminant`: every module that needs a
+fundamental discriminant calls its one gate.
 No module imports `dataclasses` or `typing`, which would load `inspect`,
 `ast` and more before every command (checked also by a real import).
 Every name in `cmfields.__all__` resolves.
@@ -133,6 +135,28 @@ def test_module_has_no_bare_assert(path):
 def test_check_sees_a_bare_assert():
     tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, x\n    return x\n")
     assert _asserts(tree) == [3]
+
+
+def _constructs(tree, name):
+    """Lines that call `name`, bare or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
+
+
+def test_discriminant_gate_has_one_owner():
+    owners = [p.name for p in ALL_MODULES
+              if _constructs(ast.parse(p.read_text()), "NotFundamentalDiscriminant")]
+    assert owners == ["arith.py"]
+
+
+def test_check_sees_a_second_gate():
+    tree = ast.parse("from . import errors\n"
+                     "from .errors import NotFundamentalDiscriminant\n"
+                     "def f(d):\n    if d % 4 == 2:\n"
+                     "        raise NotFundamentalDiscriminant(f'{d}')\n"
+                     "    raise errors.NotFundamentalDiscriminant(str(d))\n")
+    assert _constructs(tree, "NotFundamentalDiscriminant") == [5, 6]
 
 
 # stdlib modules that cost every command start-up time and buy the package

@@ -163,7 +163,7 @@ def test_rule_overlap_coherence_on_decomposable_biquadratics():
     # biquadratic case analysis must get the same Q either way
     import math
 
-    from cmfields.fields import is_fundamental_discriminant
+    from cmfields.arith import is_fundamental_discriminant
 
     checked = 0
     for d1 in (-4, -3, -7, -8, -11):
@@ -187,7 +187,7 @@ def test_rule_overlap_coherence_on_decomposable_biquadratics():
 def test_d1_choice_independence():
     # the essential-ramification classification is the same for either
     # odd quadratic character generating K over K+
-    from cmfields.fields import is_fundamental_discriminant
+    from cmfields.arith import is_fundamental_discriminant
 
     for d1 in (-3, -7, -8, -11, -4):
         for d2 in range(5, 80):
