@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import (DegreeBoundExceeded, InternalInconsistency,
                      NotFundamentalDiscriminant, PreconditionViolated)
@@ -17,8 +17,28 @@ from .errors import (DegreeBoundExceeded, InternalInconsistency,
 Rational = Fraction
 
 
+def _per_process(fn):
+    """Memoize fn(n) for the life of the process as a tuple; each call
+    returns a fresh list, so a caller may change what it gets.  The
+    uncached body stays reachable as `__wrapped__`."""
+    memo = {}
+
+    @wraps(fn)
+    def cached(n):
+        value = memo.get(n)
+        if value is None:
+            value = memo[n] = tuple(fn(n))
+        return list(value)
+
+    return cached
+
+
+@_per_process
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization of n >= 1 as [(p, e), ...], p increasing."""
+    """Trial-division factorization of n >= 1 as [(p, e), ...], p increasing.
+
+    Memoized per process: the unit-index cascade, w and the unit groups
+    factor the same conductors again on every table row."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out = []

@@ -9,23 +9,26 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
-from .arith import discrete_log_table, unit_group
-from .errors import LengthMismatch, NotClosed
+from .arith import discrete_log_table, divisors, euler_phi, factorize, unit_group
+from .errors import InternalInconsistency, LengthMismatch, NotClosed
 
 
-def _block_map(src, exponents: tuple[int, ...], dst) -> tuple[int, ...]:
-    """The exponents on the generators of `dst` of the character that has
-    `exponents` on the generators of `src`; its conductor divides both
-    moduli.
+def _block_map(src: int, exponents: tuple[int, ...], dst: int) -> tuple[int, ...]:
+    """The exponents on the generators of (Z/dst Z)* of the character that
+    has `exponents` on the generators of (Z/src Z)*; its conductor divides
+    both moduli.
 
     Each prime-power block maps on its own.  The exponent on a generator
     of order o at p^k goes to the matching generator of order o' at p^c
     (the generator itself on an odd block; -1 or 5 on a 2-power block),
     times o'/o, which is exact because the conductor divides both moduli,
     and times d with g' = g^d mod p^min(k, c).  d = 1 unless the smallest
-    primitive roots mod p and mod p^2 differ, as for p = 40487.
+    primitive roots mod p and mod p^2 differ, as for p = 40487, so the map
+    need not keep the order of exponent tuples.
     """
+    src, dst = unit_group(src), unit_group(dst)
     exps = []
     for g, o, q in zip(dst.generators, dst.orders, dst.blocks):
         t = 0
@@ -46,10 +49,11 @@ class DirichletCharacter:
     """A character mod m, chi(g_i) = zeta_{order_i}^{exponents_i}.
 
     Hashable and compared by (modulus, exponents); use `primitive_key` to
-    compare characters living at different moduli.  The order, conductor,
-    parity and primitive key depend only on (modulus, exponents), so they
-    are worked out once, when the character is built; a lift copies them
-    from its source.
+    compare characters living at different moduli.  The order, conductor
+    and parity depend only on (modulus, exponents) and are worked out
+    when the character is built.  The primitive key needs a block map to
+    the conductor, so it is worked out on first use and kept; a lift
+    copies all four from its source.
     """
 
     __slots__ = ("modulus", "exponents", "order", "_conductor", "_parity",
@@ -108,8 +112,7 @@ class DirichletCharacter:
         self.order = n
         self._conductor = f
         self._parity = -1 if s % 2 else 1
-        self._key = (f, exponents if f == modulus
-                     else _block_map(ug, exponents, unit_group(f)))
+        self._key = None
 
     # -- identity --------------------------------------------------------
 
@@ -162,6 +165,10 @@ class DirichletCharacter:
 
     def primitive_key(self) -> tuple[int, tuple[int, ...]]:
         """Modulus-independent identity: (conductor, primitive exponents)."""
+        if self._key is None:
+            m, f = self.modulus, self._conductor
+            self._key = (f, self.exponents if f == m else
+                         _block_map(m, self.exponents, f))
         return self._key
 
     def primitivize(self) -> "DirichletCharacter":
@@ -169,7 +176,7 @@ class DirichletCharacter:
         when chi is primitive, else a new character from the primitive key."""
         if self._conductor == self.modulus:
             return self
-        return DirichletCharacter._reduced(*self._key)
+        return DirichletCharacter._reduced(*self.primitive_key())
 
     def at_modulus(self, f: int) -> "DirichletCharacter":
         """chi viewed at any modulus f that its conductor divides, mapped up
@@ -177,16 +184,16 @@ class DirichletCharacter:
         parity and primitive key."""
         if f == self.modulus:
             return self
-        cond, exps = self._key
+        cond, exps = self.primitive_key()
         if f % cond:
             raise ValueError(f"conductor {cond} does not divide {f}")
         lift = DirichletCharacter.__new__(DirichletCharacter)
         lift.modulus = f
-        lift.exponents = _block_map(unit_group(cond), exps, unit_group(f))
+        lift.exponents = _block_map(cond, exps, f)
         lift.order = self.order
         lift._conductor = cond
         lift._parity = self._parity
-        lift._key = self._key
+        lift._key = (cond, exps)
         return lift
 
 
@@ -239,6 +246,173 @@ def galois_orbits(chars) -> list[list[DirichletCharacter]]:
             orbit.append(index[conj])
         orbits.append(orbit)
     return orbits
+
+
+def orbit_rep(orbit) -> DirichletCharacter:
+    """The canonical representative of a Galois orbit: the member with the
+    least primitive key.  Every member has the same order and conductor."""
+    return min(orbit, key=DirichletCharacter.primitive_key)
+
+
+def orbit_min(exponents, orders) -> tuple[int, ...]:
+    """The least exponent tuple in the Galois orbit of the character with
+    these exponents on generators of these orders: the least
+    (k x_i mod o_i)_i over the k prime to the character's order.
+
+    One coordinate at a time: with k fixed mod s by the earlier ones, k x
+    mod o runs over the d v with d = gcd(x, o) and v a unit mod t = o/d in
+    the class of k x/d mod gcd(s, t), so the least is d times the least
+    such unit.  That choice fixes k mod lcm(s, t).  A lift by `_block_map`
+    need not keep exponent order, so this is taken at the modulus wanted.
+    """
+    s, k = 1, 0
+    out = []
+    for x, o in zip(exponents, orders):
+        d = math.gcd(x, o)
+        if d == o:
+            out.append(0)
+            continue
+        t = o // d
+        if s == 1:
+            # the first nontrivial coordinate: d itself, with k = (x/d)^-1
+            k, s = pow(x // d, -1, t), t
+            out.append(d)
+            continue
+        g = math.gcd(s, t)
+        u = x // d
+        v = k * u % g or 1
+        while math.gcd(v, t) != 1:
+            v += g
+        # k' = k mod s and k' u = v mod t; both agree mod g
+        j = (v * pow(u, -1, t) - k) // g * pow(s // g, -1, t // g)
+        k += s * (j % (t // g))
+        s = s * t // g
+        out.append(d * v % o)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _least_units(t: int, g: int) -> tuple[int, ...]:
+    """For each unit class mod g | t, the least unit mod t in that class;
+    (0,) for t = 1."""
+    if g == 1:
+        return (1 if t > 1 else 0,)
+    want = euler_phi(g)
+    found = {}
+    for v in range(t):
+        if math.gcd(v, t) == 1:
+            found.setdefault(v % g, v)
+            if len(found) == want:
+                break
+    return tuple(found.values())
+
+
+@lru_cache(maxsize=None)
+def _primitive_orders(g: int, o: int, q: int) -> tuple[tuple[int, int], ...]:
+    """(t, b) for each order t a character primitive on the block q can
+    have on the generator g mod q of order o, with b = 1 when that
+    component is odd at -1.  Memoized per process: blocks recur across
+    conductors.
+
+    An odd p^k needs p^(k-1) | t and t > 1 (see `DirichletCharacter._set`);
+    -1 = g^(o/2), so the component is odd when o/t is.  At 4 the one
+    character is odd.  At 2^k >= 8 the exponent on 5 has full order, and
+    the one on -1 is free and decides the parity."""
+    if q % 2:
+        pk = math.gcd(o, q)
+        return tuple((t, o // t % 2) for t in divisors(o) if t > 1 and t % pk == 0)
+    if g != q - 1:
+        return ((o, 0),)
+    return ((2, 1),) if q == 4 else ((1, 0), (2, 1))
+
+
+def _odd_primitive_count(f: int) -> int:
+    """The number of odd primitive characters mod f, as a product over the
+    prime-power blocks.  With A the number of primitive characters on a
+    block and B their sum of chi(-1), the count is (prod A - prod B) / 2:
+    A = phi(p^k) - phi(p^(k-1)), B = -1 at k = 1 and 0 above; A = 1,
+    B = -1 at 4; A = 2^k / 4, B = 0 at 2^k >= 8; nothing is primitive at 2.
+    """
+    a = b = 1
+    for p, e in factorize(f):
+        q = p**e
+        if p == 2:
+            qa, qb = (0, 0) if q == 2 else (1, -1) if q == 4 else (q // 4, 0)
+        else:
+            qa, qb = euler_phi(q) - euler_phi(q // p), -1 if e == 1 else 0
+        a, b = a * qa, b * qb
+    return (a - b) // 2
+
+
+def check_odd_orbit_reps(f: int, reps) -> None:
+    """Raise InternalInconsistency unless every rep is odd and primitive
+    mod f and the orbits they stand for, phi(ord chi) characters each,
+    add up to the odd primitive characters mod f."""
+    total = 0
+    for chi in reps:
+        if chi.modulus != f or chi._conductor != f or chi._parity != -1:
+            raise InternalInconsistency(
+                f"orbit representative {chi.encode()} is not odd primitive mod {f}")
+        total += euler_phi(chi.order)
+    want = _odd_primitive_count(f)
+    if total != want:
+        raise InternalInconsistency(
+            f"orbit representatives mod {f} cover {total} characters, "
+            f"not the {want} odd primitive ones")
+
+
+# conductor f -> its odd primitive orbit representatives
+_ODD_REPS: dict[int, tuple[DirichletCharacter, ...]] = {}
+
+
+def odd_primitive_orbit_reps(f: int) -> tuple[DirichletCharacter, ...]:
+    """The least-key member of each Galois orbit of odd primitive characters
+    mod f, as characters mod f in increasing exponent order; memoized per
+    process on f.
+
+    No character group is built.  A tuple is an orbit's least exactly when
+    `orbit_min` gives it back, so on each generator it is d v with
+    t = o/d the component's order and v the least unit mod t in its class
+    mod gcd(s, t), s the lcm of the earlier orders; every class prime to
+    that gcd occurs.  The orders t that are primitive on their block and
+    odd in sum at -1 are chosen first, and the rest is a product over the
+    generators.  `check_odd_orbit_reps` certifies the count."""
+    reps = _ODD_REPS.get(f)
+    if reps is None:
+        vectors = []
+        if f % 4 != 2:
+            ug = unit_group(f)
+            choices = [_primitive_orders(g % q, o, q) for g, o, q in
+                       zip(ug.generators, ug.orders, ug.blocks)]
+            for picked in itertools.product(*choices):
+                if sum(b for _, b in picked) % 2 == 0:
+                    continue
+                columns = []
+                s = 1
+                for (t, _), o in zip(picked, ug.orders):
+                    columns.append([o // t * v for v in _least_units(t, math.gcd(s, t))])
+                    s = math.lcm(s, t)
+                vectors += itertools.product(*columns)
+        reps = tuple(DirichletCharacter._reduced(f, e) for e in sorted(vectors))
+        check_odd_orbit_reps(f, reps)
+        _ODD_REPS[f] = reps
+    return reps
+
+
+def cyclotomic_odd_orbit_reps(m: int) -> list[DirichletCharacter]:
+    """One representative per Galois orbit of the odd characters mod m, in
+    the order `galois_orbits` gives their orbits (by each orbit's least
+    exponent tuple mod m), each the primitive character of the orbit's
+    least primitive key: the orbits of conductor f are those of the odd
+    primitive characters mod f, for each f | m.  At f = m the key is the
+    least tuple already; below m it is lifted and taken least again."""
+    orders = unit_group(m).orders
+    keyed = [(chi.exponents, chi) for chi in odd_primitive_orbit_reps(m)]
+    for f in divisors(m)[:-1]:
+        keyed += [(orbit_min(_block_map(f, chi.exponents, m), orders), chi)
+                  for chi in odd_primitive_orbit_reps(f)]
+    keyed.sort(key=lambda pair: pair[0])
+    return [chi for _, chi in keyed]
 
 
 def encode(modulus: int, exponents) -> str:

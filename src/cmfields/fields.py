@@ -1,17 +1,25 @@
-"""Abelian number fields represented extensionally by their finite
-character groups, with the CM-specific attributes (maximal real subfield,
-roots of unity, conductor, prime-power decomposability) the divisibility
-checks consume.
+"""Abelian number fields as finite groups of Dirichlet characters, with
+the CM-specific attributes (maximal real subfield, roots of unity,
+conductor, prime-power decomposability, odd Galois orbits) the
+divisibility checks consume.
+
+A field is read through its characters, except Q(zeta_m) for m >= 3: its
+conductor, degree, w, 2-primary subfield and odd orbit representatives
+have closed forms on the blocks of (Z/mZ)*, and its characters are built
+only when something reads them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
 from .arith import (euler_phi, factorize, kronecker,
                     require_fundamental_discriminant, subgroup, unit_group)
-from .characters import DirichletCharacter, all_characters, principal_character
+from .characters import (DirichletCharacter, all_characters,
+                         cyclotomic_odd_orbit_reps, galois_orbits, orbit_rep,
+                         principal_character)
 from .errors import (
     DegreeBoundExceeded,
     InternalInconsistency,
@@ -32,11 +40,15 @@ class AbelianField:
 
     Immutable; the constructor assumes the set is multiplicatively closed
     (use `field_from_generators` to close an arbitrary set).  The odd
-    characters and w are worked out once, on first use.
+    characters, w and the set of primitive keys behind ==, hash and
+    containment are worked out once, on first use.  `cyclotomic_field`
+    builds Q(zeta_m), m >= 3, with `_zeta` set: conductor, degree and w
+    are set from m, and `chars` enumerates the character group only when
+    it is read.
     """
 
-    __slots__ = ("chars", "modulus", "conductor", "degree", "_prim_keys",
-                 "_odd", "_w")
+    __slots__ = ("_chars", "modulus", "conductor", "degree", "_prim_keys",
+                 "_odd", "_w", "_zeta")
 
     def __init__(self, chars):
         chars = tuple(sorted(set(chars), key=lambda c: c.exponents))
@@ -47,28 +59,52 @@ class AbelianField:
             raise PreconditionViolated(
                 "characters of a field must share one modulus, got "
                 f"{sorted({c.modulus for c in chars})}")
-        self.chars = chars
+        self._chars = chars
         self.modulus = modulus
         self.conductor = math.lcm(1, *(c.conductor() for c in chars))
         self.degree = len(chars)
-        self._prim_keys = frozenset(c.primitive_key() for c in chars)
-        self._odd = None
-        self._w = None
+        self._prim_keys = self._odd = self._w = None
+        self._zeta = False
+
+    @classmethod
+    def _cyclotomic(cls, m: int) -> "AbelianField":
+        """Q(zeta_m) for m >= 3, m != 2 mod 4, with no character built:
+        w is m for even m and 2m for odd m."""
+        K = cls.__new__(cls)
+        K._chars = K._prim_keys = K._odd = None
+        K.modulus = K.conductor = m
+        K.degree = euler_phi(m)
+        K._w = m if m % 2 == 0 else 2 * m
+        K._zeta = True
+        return K
+
+    @property
+    def chars(self) -> tuple[DirichletCharacter, ...]:
+        """The characters, in increasing exponent order."""
+        if self._chars is None:
+            self._chars = tuple(sorted(all_characters(self.modulus),
+                                       key=lambda c: c.exponents))
+        return self._chars
+
+    def _keys(self) -> frozenset:
+        if self._prim_keys is None:
+            self._prim_keys = frozenset(c.primitive_key() for c in self.chars)
+        return self._prim_keys
 
     def __eq__(self, other):
-        return isinstance(other, AbelianField) and self._prim_keys == other._prim_keys
+        return isinstance(other, AbelianField) and self._keys() == other._keys()
 
     def __hash__(self):
-        return hash(self._prim_keys)
+        return hash(self._keys())
 
     def __repr__(self):
         return f"AbelianField(conductor={self.conductor}, degree={self.degree})"
 
     def contains_character(self, chi: DirichletCharacter) -> bool:
-        return chi.primitive_key() in self._prim_keys
+        return chi.primitive_key() in self._keys()
 
     def is_subfield_of(self, other: "AbelianField") -> bool:
-        return self._prim_keys <= other._prim_keys
+        return self._keys() <= other._keys()
 
     # -- CM structure ----------------------------------------------------
 
@@ -81,7 +117,18 @@ class AbelianField:
         return list(self._odd_chars())
 
     def is_cm(self) -> bool:
-        return bool(self._odd_chars())
+        return self._zeta or bool(self._odd_chars())
+
+    def odd_orbit_representatives(self) -> list[DirichletCharacter]:
+        """One character per Galois orbit of the odd characters, with the
+        orbit's least primitive key, in the order of `galois_orbits`.
+
+        For Q(zeta_m) these come from `cyclotomic_odd_orbit_reps`, as
+        primitive characters and without the character group; any other
+        field partitions its odd characters and returns members."""
+        if self._zeta:
+            return cyclotomic_odd_orbit_reps(self.modulus)
+        return [orbit_rep(orbit) for orbit in galois_orbits(self._odd_chars())]
 
     def maximal_real_subfield(self) -> "AbelianField":
         return AbelianField([c for c in self.chars if not c.is_odd()])
@@ -120,7 +167,7 @@ class AbelianField:
                                      max_degree=max_degree)
 
     def intersection(self, other: "AbelianField") -> "AbelianField":
-        shared = self._prim_keys & other._prim_keys
+        shared = self._keys() & other._keys()
         chars = [c for c in self.chars if c.primitive_key() in shared]
         m = math.lcm(1, *(c.conductor() for c in chars))
         return AbelianField([c.at_modulus(m) for c in chars])
@@ -147,10 +194,18 @@ class AbelianField:
     def two_primary_subfield(self) -> "AbelianField":
         """Field of the 2-Sylow subgroup of the character group; has odd
         index in the field and stays CM whenever the field is.  The field
-        itself when its degree is a power of 2."""
+        itself when its degree is a power of 2.  For Q(zeta_m) the 2-Sylow
+        exponent vectors are built directly: on a generator of order o they
+        are the multiples of o's odd part."""
         if self.degree & (self.degree - 1) == 0:
             return self
-        sylow = [c for c in self.chars if (c.order & (c.order - 1)) == 0]
+        if self._zeta:
+            m = self.modulus
+            steps = [range(0, o, o // (o & -o)) for o in unit_group(m).orders]
+            sylow = [DirichletCharacter._reduced(m, e)
+                     for e in itertools.product(*steps)]
+        else:
+            sylow = [c for c in self.chars if (c.order & (c.order - 1)) == 0]
         return AbelianField(sylow)
 
     def quadratic_subfield_discriminants(self) -> list[int]:
@@ -183,12 +238,15 @@ def field_from_generators(
 
 
 def cyclotomic_field(m: int, max_degree: int = DEFAULT_MAX_DEGREE) -> AbelianField:
-    """Q(zeta_m) as the full character group mod m (m normalized != 2 mod 4)."""
+    """Q(zeta_m), the full character group mod m (m normalized != 2 mod 4);
+    from m = 3 on, its characters are built only when read."""
     m = normalize_cyclotomic_modulus(m)
     # phi(m) >= sqrt(m / 2), so a level past 2 B^2 is rejected unfactored
     if m > 2 * max_degree**2 or euler_phi(m) > max_degree:
         raise DegreeBoundExceeded(f"phi({m}) exceeds bound {max_degree}")
-    return AbelianField(all_characters(m))
+    if m < 3:
+        return AbelianField(all_characters(m))
+    return AbelianField._cyclotomic(m)
 
 
 def rational_field() -> AbelianField:

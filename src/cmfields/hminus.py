@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import unit_group
-from .characters import DirichletCharacter, encode, galois_orbits
+from .characters import DirichletCharacter, encode, galois_orbits, orbit_rep
 from .cyclotomic import CycNumber, absolute_norm
 from .errors import (
     EvenCharacter,
@@ -85,7 +85,8 @@ def orbit_factor(rep: DirichletCharacter) -> Fraction:
 
     Memoized for the life of the process on rep's primitive key: the norm
     depends only on the orbit, so any representative gives the same value,
-    and callers pick the canonical one (`_orbit_rep`) so they share entries.
+    and callers pick the canonical one (`characters.orbit_rep`) so they
+    share entries.
     """
     key = rep.primitive_key()
     norm = _ORBIT_FACTORS.get(key)
@@ -95,11 +96,6 @@ def orbit_factor(rep: DirichletCharacter) -> Fraction:
         b = bernoulli_b1(rep)
         norm = _ORBIT_FACTORS[key] = absolute_norm(b) / (-2) ** len(b.num)
     return norm
-
-
-def _orbit_rep(orbit: list[DirichletCharacter]) -> DirichletCharacter:
-    """The canonical representative of an orbit, min by primitive key."""
-    return min(orbit, key=DirichletCharacter.primitive_key)
 
 
 class MinusReport(
@@ -113,15 +109,15 @@ class MinusReport(
 def minus_class_number(
     K: AbelianField, q_override: int | None = None
 ) -> MinusReport:
-    """Exact h-(K) for a CM abelian field, with per-orbit factors, each
-    named by the encoding of its representative's primitive key.
-    `hasse_unit_index` raises NotCMField for a field that is not CM."""
+    """Exact h-(K) for a CM abelian field, with per-orbit factors in the
+    order of `K.odd_orbit_representatives()`, each named by the encoding
+    of its representative's primitive key.  `hasse_unit_index` raises
+    NotCMField for a field that is not CM."""
     verdict: UnitIndexVerdict = hasse_unit_index(K, override=q_override)
     w = K.roots_of_unity_order()
     factors = []
     total = Fraction(verdict.q * w)
-    for orbit in galois_orbits(K.odd_characters()):
-        rep = _orbit_rep(orbit)
+    for rep in K.odd_orbit_representatives():
         norm = orbit_factor(rep)
         factors.append((encode(*rep.primitive_key()), norm))
         total *= norm
@@ -152,5 +148,5 @@ def minus_partial_product(chars) -> Fraction:
         raise NotClosed("duplicate characters in partial-product input")
     total = Fraction(1)
     for orbit in galois_orbits(chars):
-        total *= orbit_factor(_orbit_rep(orbit))
+        total *= orbit_factor(orbit_rep(orbit))
     return total

@@ -42,6 +42,22 @@ def test_factorize_reconstructs(n):
     assert prod == n
 
 
+def test_factorize_memo_matches_its_body():
+    """The per-process memo returns what trial division returns, as a
+    fresh list each time, so a caller that changes its list changes no
+    later answer."""
+    for n in range(1, 10**4 + 1):
+        assert factorize(n) == factorize.__wrapped__(n), n
+    first = factorize(360)
+    assert type(first) is list and first == [(2, 3), (3, 2), (5, 1)]
+    first.append((7, 1))
+    first[0] = (2, 99)
+    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert factorize(360) is not factorize(360)
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
 def test_unit_group_examples():
     g5 = unit_group(5)
     assert g5.generators == (2,) and g5.orders == (4,)

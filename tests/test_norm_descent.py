@@ -12,12 +12,12 @@ import pytest
 
 from cmfields import cyclotomic
 from cmfields.arith import euler_phi, unit_group
-from cmfields.characters import DirichletCharacter, galois_orbits
+from cmfields.characters import DirichletCharacter, galois_orbits, orbit_rep
 from cmfields.cyclotomic import CycNumber, absolute_norm
 from cmfields.errors import InternalInconsistency
 from cmfields.fields import AbelianField
 from cmfields.fieldspec import parse_field_spec
-from cmfields.hminus import _orbit_rep, bernoulli_b1
+from cmfields.hminus import bernoulli_b1
 from cycoracle import norm_whole_ring
 
 
@@ -46,7 +46,7 @@ def test_descent_matches_whole_ring_on_every_cyclotomic_orbit_to_200():
             continue
         K = parse_field_spec(f"zeta:{m}").build(max_degree=400)
         for orbit in galois_orbits(K.odd_characters()):
-            rep = _orbit_rep(orbit)
+            rep = orbit_rep(orbit)
             reps.setdefault(rep.primitive_key(), rep)
     levels = set()
     for rep in reps.values():
@@ -63,7 +63,7 @@ def test_descent_matches_whole_ring_under_a_generator_change():
     (o,) = unit_group(p * p).orders
     K = AbelianField([DirichletCharacter(p * p, [k * (o // 62)]) for k in range(62)])
     for orbit in galois_orbits(K.odd_characters()):
-        b = bernoulli_b1(_orbit_rep(orbit))
+        b = bernoulli_b1(orbit_rep(orbit))
         assert absolute_norm(b) == norm_whole_ring(b)
 
 

@@ -1,7 +1,7 @@
 """The release gate under `python -O`, which strips assert statements: no
 result may depend on an assert in the package, the records still check
-their fields when they are built, and the norm kernel's checks still
-fire."""
+their fields when they are built, and the norm kernel's checks and the
+orbit-representative count check still fire."""
 
 import os
 import subprocess
@@ -17,7 +17,8 @@ def test_acceptance_suite_under_python_O():
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(ROOT / "tests" / "test_acceptance.py"),
          str(ROOT / "tests" / "test_records.py"),
-         str(ROOT / "tests" / "test_norm_descent.py")],
+         str(ROOT / "tests" / "test_norm_descent.py"),
+         str(ROOT / "tests" / "test_orbit_reps.py")],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

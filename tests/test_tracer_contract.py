@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from cmfields.arith import euler_phi
-from cmfields.characters import galois_orbits
+from cmfields.characters import galois_orbits, orbit_rep
 from cmfields.fieldspec import parse_field_spec
-from cmfields.hminus import _orbit_rep, bernoulli_b1
+from cmfields.hminus import bernoulli_b1
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -50,7 +50,7 @@ def test_norm_input_sits_at_the_character_order(text):
     orbits = galois_orbits(parse_field_spec(text).build().odd_characters())
     assert orbits
     for orbit in orbits:
-        chi = _orbit_rep(orbit)
+        chi = orbit_rep(orbit)
         b = bernoulli_b1(chi)
         assert b.level == chi.order, chi.encode()
         assert len(b.num) == euler_phi(chi.order), chi.encode()
