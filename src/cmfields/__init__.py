@@ -2,12 +2,7 @@
 unit indices, and executable divisibility checks."""
 
 from .arith import Rational, factorize, is_fundamental_discriminant, unit_group
-from .characters import (
-    DirichletCharacter,
-    char_mul,
-    char_pow,
-    galois_orbits,
-)
+from .characters import DirichletCharacter, galois_orbits
 from .cyclotomic import CycNumber, absolute_norm, cyclotomic_polynomial, galois_apply
 from .fields import (
     AbelianField,
@@ -39,8 +34,6 @@ __all__ = [
     "UnitIndexVerdict",
     "absolute_norm",
     "bernoulli_b1",
-    "char_mul",
-    "char_pow",
     "class_number",
     "cyclotomic_field",
     "cyclotomic_polynomial",

@@ -1,8 +1,14 @@
 """Dirichlet characters encoded by exponents on the canonical generators
 of (Z/mZ)*.
 
+The program reads a character through its exponent vector alone: order,
+conductor, parity, the primitive key, lifts, and the Galois orbits with
+their representatives.  Values chi(a), products and powers are never
+needed, so none are defined here.
+
 The text encoding "f=<m>:e=<e1,...,ek>" (defining modulus, exponents in
-canonical generator order) is stable across runs and versions.
+canonical generator order) is stable across runs and versions; `encode`
+writes it and `fieldspec` parses it.
 """
 
 from __future__ import annotations
@@ -135,21 +141,6 @@ class DirichletCharacter:
     def is_principal(self) -> bool:
         return self.order == 1
 
-    # -- evaluation ------------------------------------------------------
-
-    def value_exponent(self, a: int):
-        """t with chi(a) = zeta_order^t, or None when gcd(a, m) > 1."""
-        m = self.modulus
-        vec = discrete_log_table(m).get(a % m)
-        if vec is None:
-            return None
-        n = self.order
-        ug = unit_group(m)
-        t = 0
-        for e, ai, o in zip(self.exponents, vec, ug.orders):
-            t += e * ai * n // o
-        return t % n
-
     def parity(self) -> int:
         """chi(-1); -1 means odd."""
         return self._parity
@@ -157,7 +148,7 @@ class DirichletCharacter:
     def is_odd(self) -> bool:
         return self._parity == -1
 
-    # -- conductor and primitivization -----------------------------------
+    # -- conductor, primitive key and lifts ------------------------------
 
     def conductor(self) -> int:
         """Smallest f | m such that chi factors through (Z/fZ)*."""
@@ -170,13 +161,6 @@ class DirichletCharacter:
             self._key = (f, self.exponents if f == m else
                          _block_map(m, self.exponents, f))
         return self._key
-
-    def primitivize(self) -> "DirichletCharacter":
-        """The primitive character mod conductor inducing chi: chi itself
-        when chi is primitive, else a new character from the primitive key."""
-        if self._conductor == self.modulus:
-            return self
-        return DirichletCharacter._reduced(*self.primitive_key())
 
     def at_modulus(self, f: int) -> "DirichletCharacter":
         """chi viewed at any modulus f that its conductor divides, mapped up
@@ -199,16 +183,6 @@ class DirichletCharacter:
 
 def principal_character(modulus: int = 1) -> DirichletCharacter:
     return DirichletCharacter(modulus, [0] * len(unit_group(modulus).generators))
-
-
-def char_mul(chi: DirichletCharacter, psi: DirichletCharacter) -> DirichletCharacter:
-    m = math.lcm(chi.modulus, psi.modulus)
-    a, b = chi.at_modulus(m), psi.at_modulus(m)
-    return DirichletCharacter(m, [x + y for x, y in zip(a.exponents, b.exponents)])
-
-
-def char_pow(chi: DirichletCharacter, k: int) -> DirichletCharacter:
-    return DirichletCharacter(chi.modulus, [k * e for e in chi.exponents])
 
 
 def all_characters(modulus: int) -> list[DirichletCharacter]:
@@ -419,16 +393,3 @@ def encode(modulus: int, exponents) -> str:
     """The text "f=<m>:e=<e1,...,ek>" of the character with these
     exponents mod m; takes a primitive key as it is."""
     return f"f={modulus}:e={','.join(map(str, exponents))}"
-
-
-def decode_character(text: str) -> DirichletCharacter:
-    """Inverse of encode."""
-    try:
-        fpart, epart = text.split(":")
-        if not (fpart.startswith("f=") and epart.startswith("e=")):
-            raise ValueError("expected f=<m>:e=<e1,...>")
-        modulus = int(fpart[2:])
-        exps = [int(x) for x in epart[2:].split(",")] if epart[2:] else []
-    except ValueError as exc:
-        raise ValueError(f"bad character encoding {text!r}") from exc
-    return DirichletCharacter(modulus, exps)

@@ -166,12 +166,6 @@ class AbelianField:
         return field_from_generators(gens or self.chars[:1],
                                      max_degree=max_degree)
 
-    def intersection(self, other: "AbelianField") -> "AbelianField":
-        shared = self._keys() & other._keys()
-        chars = [c for c in self.chars if c.primitive_key() in shared]
-        m = math.lcm(1, *(c.conductor() for c in chars))
-        return AbelianField([c.at_modulus(m) for c in chars])
-
     def prime_power_decomposition(self):
         """Split into fields of prime-power conductor when the character
         group is the direct product of its prime-power projections;
@@ -247,10 +241,6 @@ def cyclotomic_field(m: int, max_degree: int = DEFAULT_MAX_DEGREE) -> AbelianFie
     if m < 3:
         return AbelianField(all_characters(m))
     return AbelianField._cyclotomic(m)
-
-
-def rational_field() -> AbelianField:
-    return AbelianField([principal_character(1)])
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,9 @@
 ideal normal forms: class numbers, principality, prime splitting,
 fundamental-unit norms, ideal square roots of rational integers.
 
+For D > 0 one walk, the cycle of reduced forms under rho, counts the
+classes and decides principality and the norm of the fundamental unit.
+
 Only fundamental discriminants are accepted; callers normalize.
 """
 
@@ -167,10 +170,13 @@ def reduced_indefinite_forms(D: int) -> list[QuadForm]:
 
 
 @lru_cache(maxsize=None)
-def class_number(D: int, narrow: bool = False) -> int:
-    """h(D) by reduced-form enumeration (wide by default for D > 0).
+def class_number(D: int) -> int:
+    """h(D) in the wide sense, by reduced-form enumeration.
 
-    Memoized for the life of the process on (D, narrow)."""
+    For D > 0 the reduced forms fall into cycles, one per narrow class;
+    the narrow and wide groups agree exactly when the fundamental unit has
+    norm -1, and otherwise the wide class number is half the cycle count.
+    Memoized for the life of the process on D."""
     require_fundamental_discriminant(D)
     if D < 0:
         return len(reduced_forms(D))
@@ -180,45 +186,18 @@ def class_number(D: int, narrow: bool = False) -> int:
         f = next(iter(forms))
         forms -= set(form_cycle(f))
         cycles += 1
-    if narrow:
-        return cycles
     return cycles // 2 if fundamental_unit_norm(D) == 1 else cycles
 
 
-# --------------------------------------------------------------------------
-# continued fractions / fundamental unit
-
-
-def surd_continued_fraction(P: int, Q: int, d: int) -> tuple[list[int], int]:
-    """Continued fraction of (P + sqrt(d))/Q.
-
-    Returns (terms, period): the partial quotients up to the first repeated
-    state (P, Q), and the length of the period they end with."""
-    s = isqrt(d)
-    seen: dict[tuple[int, int], int] = {}
-    terms = []
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(terms)
-        a = (P + s) // Q if Q > 0 else (P + s - Q + 1) // Q
-        terms.append(a)
-        P2 = a * Q - P
-        Q2 = (d - P2 * P2) // Q
-        P, Q = P2, Q2
-    period = len(terms) - seen[(P, Q)]
-    return terms, period
-
-
 def fundamental_unit_norm(D: int) -> int:
-    """Norm (+1 or -1) of the fundamental unit, by the parity of the
-    continued fraction period of the standard quadratic surd."""
+    """Norm (+1 or -1) of the fundamental unit: -1 exactly when the
+    principal form represents -1, and a number of absolute value below
+    sqrt(D)/2 is represented exactly when it is the first coefficient of
+    a form in the principal cycle."""
     require_fundamental_discriminant(D)
     if D <= 0:
         raise PreconditionViolated(f"fundamental_unit_norm needs D > 0, got {D}")
-    if D % 4 == 1:
-        _, period = surd_continued_fraction(1, 2, D)
-    else:
-        _, period = surd_continued_fraction(0, 1, D // 4)
-    return -1 if period % 2 else 1
+    return -1 if any(g.a == -1 for g in _cycle(principal_form(D))) else 1
 
 
 # --------------------------------------------------------------------------
@@ -311,13 +290,6 @@ def _hnf_2col(rows):
     if m == 0:
         raise InternalInconsistency("ideal lattice is not of rank 2")
     return m, x0 % m, g
-
-
-def ideal_pow(I: QuadIdeal, e: int) -> QuadIdeal:
-    out = unit_ideal(I.D)
-    for _ in range(e):
-        out = ideal_mul(out, I)
-    return out
 
 
 def is_principal(I: QuadIdeal) -> bool:

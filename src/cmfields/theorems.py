@@ -108,10 +108,6 @@ def check_odd_degree(K: AbelianField, L: AbelianField) -> CheckReport:
 # V4 identity
 
 
-def _w_quadratic(d: int) -> int:
-    return {-4: 4, -3: 6}.get(d, 2)
-
-
 def check_v4(d1: int, d2: int, max_degree: int = DEFAULT_MAX_DEGREE) -> CheckReport:
     """Both sides of the biquadratic identity
     h-(L) = (Q(L)/(Q1 Q2)) (w_L/(w1 w2)) h-(K1) h-(K2)
@@ -120,7 +116,8 @@ def check_v4(d1: int, d2: int, max_degree: int = DEFAULT_MAX_DEGREE) -> CheckRep
         require_fundamental_discriminant(d)
     if not (d1 < 0 and d2 < 0 and d1 != d2):
         raise NotV4CM("need two distinct negative fundamental discriminants")
-    L = quadratic_field(d1).compositum(quadratic_field(d2), max_degree)
+    K1, K2 = quadratic_field(d1), quadratic_field(d2)
+    L = K1.compositum(K2, max_degree)
     if L.degree != 4:
         raise InternalInconsistency(f"Q(sqrt {d1}, sqrt {d2}) has degree {L.degree}")
     report = minus_class_number(L)
@@ -129,7 +126,7 @@ def check_v4(d1: int, d2: int, max_degree: int = DEFAULT_MAX_DEGREE) -> CheckRep
     h2 = class_number(d2)
     rhs = (
         Fraction(report.q, 1)
-        * Fraction(report.w, _w_quadratic(d1) * _w_quadratic(d2))
+        * Fraction(report.w, K1.roots_of_unity_order() * K2.roots_of_unity_order())
         * h1
         * h2
     )
@@ -164,7 +161,8 @@ def derived_kuroda_q(d1: int, d2: int) -> Fraction:
         raise NotV4CM("need exactly two imaginary quadratic subfields")
     verdict = hasse_unit_index(L)
     w_l = L.roots_of_unity_order()
-    q = Fraction(2 * verdict.q * w_l, _w_quadratic(imag[0]) * _w_quadratic(imag[1]))
+    w1, w2 = (quadratic_field(d).roots_of_unity_order() for d in imag)
+    q = Fraction(2 * verdict.q * w_l, w1 * w2)
     if q not in (1, 2, 4):
         raise InternalInconsistency(f"q(L) = {q} outside the (2,2) unit index range")
     return q

@@ -14,15 +14,14 @@ from cmfields.arith import discrete_log_table, divisors, euler_phi, unit_group
 from cmfields.characters import (
     DirichletCharacter,
     all_characters,
-    char_mul,
-    char_pow,
-    decode_character,
     galois_orbits,
     principal_character,
 )
 from cmfields.cyclotomic import galois_apply
-from cmfields.errors import LengthMismatch, NotClosed
+from cmfields.errors import LengthMismatch, NotClosed, ParseError
+from cmfields.fieldspec import parse_field_spec
 from cmfields.theorems import _subfields
+from charoracle import char_pow, value_exponent
 from cycoracle import Cyc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -32,7 +31,7 @@ CHI_M4 = DirichletCharacter(4, [1])
 
 def _value(chi, a):
     """chi(a) as an exact element of Q(zeta_order); 0 off (Z/mZ)*."""
-    t = chi.value_exponent(a)
+    t = value_exponent(chi, a)
     if t is None:
         return Cyc.from_rational(chi.order, 0)
     return Cyc.zeta(chi.order, t)
@@ -71,7 +70,7 @@ def _conductor_by_scan(chi):
     m = chi.modulus
     for f in divisors(m):
         if all(
-            chi.value_exponent(a) == 0
+            value_exponent(chi, a) == 0
             for a in range(1, m + 1)
             if a % f == 1 % f and math.gcd(a, m) == 1
         ):
@@ -95,7 +94,7 @@ def _at_modulus_by_values(chi, f):
         a = g
         while math.gcd(a, m) != 1:
             a += f
-        exps.append(chi.value_exponent(a) * o // chi.order)
+        exps.append(value_exponent(chi, a) * o // chi.order)
     return DirichletCharacter(f, exps)
 
 
@@ -128,19 +127,19 @@ def test_at_modulus_generator_change():
     log = discrete_log_table(p)
     x = log[unit_group(p * p).generators[0] % p][0]  # g_(p^2) = g_p^x mod p
     chi = DirichletCharacter(p * p, [3 * p])  # chi(g_(p^2)) = zeta_(p-1)^3
-    prim = chi.primitivize()
+    prim = DirichletCharacter(*chi.primitive_key())
     assert prim.modulus == p and prim.order == p - 1
     assert prim.exponents[0] * x % (p - 1) == 3
     psi = DirichletCharacter(p, [1])
     lifted = psi.at_modulus(p * p)
     assert lifted.exponents == (p * x % (p * (p - 1)),)
-    assert lifted.primitivize() == psi
+    assert DirichletCharacter(*lifted.primitive_key()) == psi
 
 
 def test_primitivize_round_trip():
     lifted = CHI_M4.at_modulus(20)
-    assert lifted.primitivize() == CHI_M4
-    assert CHI_M4.primitivize() is CHI_M4
+    assert DirichletCharacter(*lifted.primitive_key()) == CHI_M4
+    assert lifted.at_modulus(4) == CHI_M4
     assert lifted.primitive_key() == CHI_M4.primitive_key()
 
 
@@ -154,24 +153,9 @@ def test_parity_matches_values():
     count = 0
     for m in range(1, 300):
         for chi in all_characters(m):
-            assert chi.parity() == (1 if chi.value_exponent(m - 1) == 0 else -1), chi
+            assert chi.parity() == (1 if value_exponent(chi, m - 1) == 0 else -1), chi
             count += 1
     assert count == 27318
-
-
-def test_group_law_examples():
-    assert char_mul(CHI_M4, CHI_M4).is_principal()
-    assert char_mul(CHI_M4, char_pow(CHI_M4, -1)).is_principal()
-    chi8 = DirichletCharacter(8, [1, 0])
-    chi5 = DirichletCharacter(5, [1])
-    prod = char_mul(chi8, chi5)
-    assert prod.modulus == 40 and prod.order == 4
-
-
-def test_char_pow_order():
-    chi = DirichletCharacter(5, [1])
-    assert char_pow(chi, 2).order == 2
-    assert char_pow(chi, 4).is_principal()
 
 
 def test_galois_orbits_examples():
@@ -252,18 +236,17 @@ def test_cached_invariants_match_fresh_characters():
     count = 0
     for m in range(1, 200):
         for chi in all_characters(m):
-            prim = chi.primitivize()
-            assert chi.primitivize() == prim
+            key = chi.primitive_key()
+            prim = DirichletCharacter(*key)
             fresh = DirichletCharacter(m, chi.exponents)
             assert prim == fresh.at_modulus(fresh.conductor())
             assert prim.conductor() == prim.modulus == chi.conductor()
-            assert prim.primitivize() is prim
+            assert prim.primitive_key() == key
             if chi.conductor() == m:
-                assert prim is chi
+                assert prim == chi and chi.at_modulus(m) is chi
             # a primitive character does not keep a reference to itself
             assert all(r is not prim for r in gc.get_referents(prim))
-            assert chi.primitive_key() == (prim.modulus, prim.exponents)
-            oracle = 1 if chi.value_exponent(m - 1) == 0 else -1
+            oracle = 1 if value_exponent(chi, m - 1) == 0 else -1
             assert chi.parity() == oracle and chi.parity() == oracle, chi
             count += 1
     assert count == sum(euler_phi(m) for m in range(1, 200))
@@ -278,7 +261,7 @@ def test_lifts_keep_conductor_and_primitive():
             for known in (False, True):
                 src = DirichletCharacter(m, chi.exponents)
                 if known:
-                    prim = src.primitivize()
+                    prim = DirichletCharacter(*src.primitive_key())
                     assert src.at_modulus(src.conductor()) == prim
                 for k in (2, 3, 4):
                     lift = src.at_modulus(k * m)
@@ -288,8 +271,9 @@ def test_lifts_keep_conductor_and_primitive():
                     assert lift.primitive_key() == fresh.primitive_key(), (chi, k)
                     assert lift.order == fresh.order
                     assert lift.parity() == fresh.parity(), (chi, k)
-                    prim = lift.primitivize()
-                    assert prim.primitivize() is prim
+                    prim = lift.at_modulus(lift.conductor())
+                    assert prim == DirichletCharacter(*lift.primitive_key())
+                    assert prim.primitive_key() == lift.primitive_key()
                     # a primitive character does not keep a reference to itself
                     assert all(r is not prim for r in gc.get_referents(prim))
 
@@ -376,24 +360,28 @@ def test_conductors_are_never_2_mod_4():
 
 
 def test_encode_decode_round_trip():
+    """The field-spec grammar is the one parser of the encoding."""
     for m in (1, 4, 8, 20, 40):
         for chi in all_characters(m):
-            assert decode_character(chi.encode()) == chi
+            spec = parse_field_spec("chars:" + chi.encode())
+            assert spec.payload == ((m, chi.exponents),)
+            assert DirichletCharacter(*spec.payload[0]) == chi
     assert CHI_M4.encode() == "f=4:e=1"
 
 
 def test_decode_rejects_garbage():
-    with pytest.raises(ValueError):
-        decode_character("f=4")
-    with pytest.raises(ValueError):
-        decode_character("e=1:f=4")
+    with pytest.raises(ParseError):
+        parse_field_spec("chars:f=4")
+    with pytest.raises(ParseError):
+        parse_field_spec("chars:e=1:f=4")
     # the same checks hold under python -O, which strips assert statements
     script = (
-        "from cmfields.characters import decode_character\n"
-        "for text in ('x=5:y=1', 'e=1:f=4'):\n"
+        "from cmfields.errors import ParseError\n"
+        "from cmfields.fieldspec import parse_field_spec\n"
+        "for text in ('chars:x=5:y=1', 'chars:e=1:f=4'):\n"
         "    try:\n"
-        "        decode_character(text)\n"
-        "    except ValueError:\n"
+        "        parse_field_spec(text)\n"
+        "    except ParseError:\n"
         "        continue\n"
         "    raise SystemExit(f'accepted {text!r}')\n"
     )

@@ -33,6 +33,7 @@ from cmfields.hminus import (
 )
 from cmfields.quadratic import class_number
 from cmfields.theorems import _subfields
+from charoracle import char_pow, value_exponent
 from cycoracle import Cyc
 
 
@@ -50,11 +51,11 @@ def test_bernoulli_examples():
 
 def _bernoulli_by_values(chi):
     """B_(1,chi) summed over a = 1..f, each chi(a) by its discrete log."""
-    chi = chi.primitivize()
+    chi = DirichletCharacter(*chi.primitive_key())
     f = chi.modulus
     acc = [0] * chi.order
     for a in range(1, f + 1):
-        t = chi.value_exponent(a)
+        t = value_exponent(chi, a)
         if t is not None:
             acc[t] += a
     return Cyc.from_power_coeffs(chi.order, acc) / f
@@ -137,8 +138,6 @@ def test_conjugate_pairing():
             if not chi.is_odd():
                 continue
             b = _b1(chi)
-            from cmfields.characters import char_pow
-
             conj = _b1(char_pow(chi, -1))
             assert conj == galois_apply(chi.order - 1, b)
 
@@ -239,8 +238,6 @@ def test_partial_product_rejects_bad_sets():
 def test_orbit_factor_is_norm_of_single_factor():
     chi = DirichletCharacter(5, [1])
     b = _b1(chi)
-    from cmfields.characters import char_pow
-
     assert orbit_factor(chi) == absolute_norm(-b / 2)
     # and equals the plain product over the orbit
     prod = (-b / 2) * (-_b1(char_pow(chi, 3)) / 2)
@@ -316,9 +313,11 @@ def test_one_bernoulli_sum_per_orbit(monkeypatch, capsys):
 def _primitivized_orbit_names(K):
     """The orbit names as first computed: the (order, key)-least member of
     each orbit, made primitive and encoded."""
-    return [min(orbit, key=lambda c: (c.order, c.primitive_key()))
-            .primitivize().encode()
-            for orbit in galois_orbits(K.odd_characters())]
+    names = []
+    for orbit in galois_orbits(K.odd_characters()):
+        least = min(orbit, key=lambda c: (c.order, c.primitive_key()))
+        names.append(DirichletCharacter(*least.primitive_key()).encode())
+    return names
 
 
 def test_orbit_names_match_primitivized_representatives():
@@ -370,18 +369,8 @@ def test_orbit_names_survive_a_generator_change():
 
 
 def test_table_builds_each_primitive_once(monkeypatch, capsys):
-    from cmfields import characters
-
-    pow_calls = []
     built = {}  # id -> (character, primitives built from it)
-    primitivized = []
-    original_pow = characters.char_pow
     original_at = DirichletCharacter.at_modulus
-    original_primitivize = DirichletCharacter.primitivize
-
-    def counted_pow(chi, k):
-        pow_calls.append((chi, k))
-        return original_pow(chi, k)
 
     def counted_at(self, f):
         if f != self.modulus and f == self.conductor():
@@ -389,21 +378,13 @@ def test_table_builds_each_primitive_once(monkeypatch, capsys):
             entry[1] += 1
         return original_at(self, f)
 
-    def counted_primitivize(self):
-        primitivized.append(self)
-        return original_primitivize(self)
-
     monkeypatch.setattr(hminus, "_ORBIT_FACTORS", {})
-    monkeypatch.setattr(characters, "char_pow", counted_pow)
     monkeypatch.setattr(DirichletCharacter, "at_modulus", counted_at)
-    monkeypatch.setattr(DirichletCharacter, "primitivize", counted_primitivize)
     assert main(["table", "hminus", "--zeta-range", "3..40"]) == 0
     assert capsys.readouterr().out
-    assert pow_calls == []
     assert not built
-    assert primitivized == []
     # each orbit is named by its primitive key, so no primitive is built
     assert main(["verify", "v4", "--sweep", "--max", "300"]) == 0
     assert capsys.readouterr().out
-    assert primitivized == []
+    assert not built
 

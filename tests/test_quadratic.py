@@ -1,6 +1,7 @@
 """Quadratic-field oracles: forms, class numbers, units, ideals."""
 
 import random
+from math import isqrt
 
 import pytest
 
@@ -16,13 +17,13 @@ from cmfields.quadratic import (
     fundamental_unit_norm,
     ideal_from_form,
     ideal_mul,
-    ideal_pow,
     ideal_sqrt_of_element,
     is_principal,
     is_reduced,
     principal_form,
     reduce_form,
     reduced_forms,
+    reduced_indefinite_forms,
     split_prime,
     unit_ideal,
 )
@@ -44,8 +45,6 @@ def test_class_number_memo_matches_fresh_count():
     for d in range(-3000, 3001):
         if is_fundamental_discriminant(d):
             assert class_number(d) == class_number.__wrapped__(d), d
-            assert class_number(d, narrow=True) == class_number.__wrapped__(
-                d, narrow=True), d
 
 
 def test_reduced_forms_for_minus23():
@@ -149,7 +148,7 @@ def test_ramified_ideal_squares_to_p():
         typ, ideal = split_prime(D, p)
         assert typ == SplitType.RAMIFIED
         # square is the principal part (p), dropped as content
-        assert ideal_pow(ideal, 2).a == 1
+        assert ideal_mul(ideal, ideal).a == 1
 
 
 def test_ideal_mul_conjugate_is_trivial():
@@ -174,13 +173,13 @@ def test_ideal_sqrt_against_direct_squaring():
         got = ideal_sqrt_of_element(D, n)
         assert got is not None
         # the primitive part of got^2 matches the primitive part of (n)
-        sq = ideal_pow(got, 2)
+        sq = ideal_mul(got, got)
         expect = unit_ideal(D)
         for p, e in factorize(abs(n)):
             typ, ideal = split_prime(D, p)
             if typ == SplitType.RAMIFIED and e % 2:
                 expect = ideal_mul(expect, ideal)
-        want = ideal_pow(expect, 2)
+        want = ideal_mul(expect, expect)
         assert (sq.a, sq.b % (2 * sq.a)) == (want.a, want.b % (2 * want.a))
 
 
@@ -196,13 +195,46 @@ def test_principality_examples_from_unit_index_cases():
     assert not is_principal(b10)  # x^2 - 10 y^2 = +-2 insoluble mod 5
 
 
+def _narrow_class_number(D):
+    """h+(D) for D > 0: the number of cycles of reduced forms."""
+    forms = set(reduced_indefinite_forms(D))
+    cycles = 0
+    while forms:
+        forms -= set(form_cycle(next(iter(forms))))
+        cycles += 1
+    return cycles
+
+
+def _unit_norm_by_continued_fraction(D):
+    """fundamental_unit_norm as first written: -1 exactly when the period
+    of the continued fraction of (P + sqrt(d))/Q is odd, for the standard
+    surd of D, (1 + sqrt(D))/2 or sqrt(D/4)."""
+    P, Q, d = (1, 2, D) if D % 4 == 1 else (0, 1, D // 4)
+    s = isqrt(d)
+    seen = {}
+    while (P, Q) not in seen:
+        seen[(P, Q)] = len(seen)
+        a = (P + s) // Q if Q > 0 else (P + s - Q + 1) // Q
+        P = a * Q - P
+        Q = (d - P * P) // Q
+    return -1 if (len(seen) - seen[(P, Q)]) % 2 else 1
+
+
+def test_unit_norm_matches_continued_fraction():
+    count = 0
+    for D in range(5, 20001):
+        if is_fundamental_discriminant(D):
+            assert fundamental_unit_norm(D) == _unit_norm_by_continued_fraction(D), D
+            count += 1
+    assert count == 6081
+
+
 def test_unit_norm_period_parity():
-    # norm -1 iff the relevant continued-fraction period is odd; checked
-    # indirectly: narrow = wide exactly when norm is -1
+    # narrow = wide exactly when the fundamental unit has norm -1
     for D in range(5, 501):
         if not is_fundamental_discriminant(D):
             continue
-        narrow = class_number(D, narrow=True)
+        narrow = _narrow_class_number(D)
         wide = class_number(D)
         if fundamental_unit_norm(D) == -1:
             assert narrow == wide

@@ -9,16 +9,23 @@ fundamental discriminant calls its one gate.
 No module imports `dataclasses` or `typing`, which would load `inspect`,
 `ast` and more before every command (checked also by a real import).
 Every name in `cmfields.__all__` resolves.
+Every function, class and method that a module defines is called or read
+somewhere else in the package: the only exceptions are dunders and the
+names `perfbench/tracer.py` wraps or rebinds.  A helper that only tests
+use lives in an oracle module under tests/.
 """
 
 import ast
+import importlib.util
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cmfields"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cmfields"
 ALL_MODULES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
@@ -199,3 +206,67 @@ def test_cli_import_leaves_slow_modules_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _definitions(tree):
+    """(qualified name, node) of each module-level function and class and
+    of each method, dunders left out."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        found = [(node.name, node)]
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                      if isinstance(sub, ast.FunctionDef)]
+        for qualname, sub in found:
+            if not (sub.name.startswith("__") and sub.name.endswith("__")):
+                yield qualname, sub
+
+
+def _references(node):
+    """Every name read under `node`, bare or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _uncalled(trees, exempt=frozenset()):
+    """(module, qualified name) of each definition, outside `exempt`, whose
+    name the package refers to nowhere outside the definition itself."""
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    return [(module, qualname) for module, tree in trees.items()
+            if module != "__init__"
+            for qualname, node in _definitions(tree)
+            if (module, qualname) not in exempt
+            and total[node.name] == _references(node)[node.name]]
+
+
+def _traced_names():
+    """(module, qualified name) of every SPANS target of the benchmark's
+    tracer, and the conjugate map it rebinds to count calls."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return set(tracer.SPANS) | {("cyclotomic", "galois_apply")}
+
+
+def test_every_definition_is_called():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in ALL_MODULES}
+    uncalled = _uncalled(trees, _traced_names())
+    assert not uncalled, f"defined in src/cmfields but never used there: {uncalled}"
+
+
+def test_check_sees_an_uncalled_definition():
+    trees = {
+        "__init__": ast.parse("from .a import kept, unused\n"),
+        "a": ast.parse("def kept(x):\n    return kept(x - 1) if x else helper(x)\n"
+                       "def helper(x):\n    return x\n"
+                       "def unused():\n    return unused()\n"
+                       "class Box:\n    def __init__(self):\n        self.v = 1\n"
+                       "    def shown(self):\n        return self.v\n"
+                       "    def hidden(self):\n        return 0\n"),
+        "b": ast.parse("from .a import Box, kept\nprint(kept(Box().shown()))\n"),
+    }
+    assert _uncalled(trees) == [("a", "unused"), ("a", "Box.hidden")]
+    assert _uncalled(trees, {("a", "Box.hidden")}) == [("a", "unused")]

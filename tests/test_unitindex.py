@@ -224,8 +224,9 @@ def test_martinet_pairs():
 def test_unsupported_field_raises():
     # cyclic quartic CM of conductor 65: not cyclotomic, conductor not a
     # prime power, not decomposable, not of exponent 2 -> no rule applies
-    from cmfields.characters import DirichletCharacter, char_mul
+    from cmfields.characters import DirichletCharacter
     from cmfields.fields import field_from_generators
+    from charoracle import char_mul
 
     chi = char_mul(DirichletCharacter(5, [1]), DirichletCharacter(13, [6]))
     K = field_from_generators([chi])
