@@ -6,7 +6,8 @@ divisibility checks consume.
 A field is read through its characters, except Q(zeta_m) for m >= 3: its
 conductor, degree, w, 2-primary subfield and odd orbit representatives
 have closed forms on the blocks of (Z/mZ)*, and its characters are built
-only when something reads them.
+only when something reads them.  The prime-power decomposition hands
+back the field's own characters, grouped by block, and builds nothing.
 """
 
 from __future__ import annotations
@@ -167,23 +168,25 @@ class AbelianField:
                                      max_degree=max_degree)
 
     def prime_power_decomposition(self):
-        """Split into fields of prime-power conductor when the character
-        group is the direct product of its prime-power projections;
-        None when the field is non-decomposable.
+        """The components of prime-power conductor, each as the field's
+        own non-principal characters that are trivial off one block q of
+        the modulus, in increasing prime order; None when the field is
+        non-decomposable.
 
-        The p-component is the set of p-block slices of the exponent
-        vectors, read as characters mod that block of the modulus."""
+        These subgroups are independent and lie in the field, so their
+        product is the field exactly when their orders, len + 1 with the
+        principal character, multiply to the degree.  A component is CM
+        exactly when one of its characters is odd."""
         blocks = unit_group(self.modulus).blocks
-        parts = {}
-        for q in dict.fromkeys(blocks):
-            slices = {tuple(e for e, b in zip(c.exponents, blocks) if b == q)
-                      for c in self.chars}
-            if len(slices) > 1:
-                parts[q] = slices
-        if math.prod(map(len, parts.values())) != self.degree:
+        parts = {q: [] for q in blocks}
+        for c in self.chars:
+            reached = {b for e, b in zip(c.exponents, blocks) if e}
+            if len(reached) == 1:
+                parts[reached.pop()].append(c)
+        comps = [comp for comp in parts.values() if comp]
+        if math.prod(len(comp) + 1 for comp in comps) != self.degree:
             return None
-        return [AbelianField(DirichletCharacter._reduced(q, e) for e in slices)
-                for q, slices in parts.items()]
+        return comps
 
     def two_primary_subfield(self) -> "AbelianField":
         """Field of the 2-Sylow subgroup of the character group; has odd

@@ -4,6 +4,8 @@ fundamental-unit norms, ideal square roots of rational integers.
 
 For D > 0 one walk, the cycle of reduced forms under rho, counts the
 classes and decides principality and the norm of the fundamental unit.
+It carries each form as plain integers (a, b, c), with D and isqrt(D)
+fixed for the whole walk.
 
 Only fundamental discriminants are accepted; callers normalize.
 """
@@ -39,35 +41,28 @@ def principal_form(D: int) -> QuadForm:
     return QuadForm(1, b, (b * b - D) // 4)
 
 
-def _lt_sqrt(x: int, D: int) -> bool:
-    """x < sqrt(D), exactly (D > 0, not a square)."""
-    return x < 0 or x * x < D
+def _reduced_indefinite(a: int, b: int, s: int) -> bool:
+    """(a, b, c) of discriminant D > 0 is reduced, with s = isqrt(D): D is
+    not a square, so x < sqrt(D) exactly when x <= s."""
+    return 0 < b <= s and s - b < 2 * abs(a) <= s + b
 
 
 def is_reduced(f: QuadForm) -> bool:
     D = f.discriminant
     a, b, c = f.a, f.b, f.c
-    if D < 0:
-        if not (abs(b) <= a <= c):
-            return False
-        if b < 0 and (abs(b) == a or a == c):
-            return False
-        return True
-    return (
-        0 < b
-        and _lt_sqrt(b, D)
-        and _lt_sqrt(2 * abs(a) - b, D)
-        and not _lt_sqrt(2 * abs(a) + b, D)
-    )
+    if D > 0:
+        return _reduced_indefinite(a, b, isqrt(D))
+    if not (abs(b) <= a <= c):
+        return False
+    if b < 0 and (abs(b) == a or a == c):
+        return False
+    return True
 
 
 def reduce_form(f: QuadForm) -> QuadForm:
     if f.discriminant < 0:
         return _reduce_definite(f)
-    g = _normalize_indefinite(f)
-    while not is_reduced(g):
-        g = _rho(g)
-    return g
+    return QuadForm(*next(_cycle(f)))
 
 
 def _reduce_definite(f: QuadForm) -> QuadForm:
@@ -91,42 +86,35 @@ def _reduce_definite(f: QuadForm) -> QuadForm:
         return QuadForm(a, b, c)
 
 
-def _normalize_indefinite(f: QuadForm) -> QuadForm:
-    D = f.discriminant
-    a, b, c = f.a, f.b, f.c
-    s = isqrt(D)
+def _normalize_indefinite(a: int, b: int, D: int, s: int):
+    """(a, b', c') with b' = b mod 2|a|, taken into (-|a|, |a|] when
+    |a| > s = isqrt(D) and into (s - 2|a|, s] otherwise."""
     aa = abs(a)
+    b %= 2 * aa
     if aa > s:
-        # b into (-|a|, |a|]
-        b2 = b % (2 * aa)
-        if b2 > aa:
-            b2 -= 2 * aa
+        if b > aa:
+            b -= 2 * aa
     else:
-        # b into (s - 2|a|, s]
-        b2 = b % (2 * aa)
-        b2 += 2 * aa * ((s - b2) // (2 * aa))
-    c2 = (b2 * b2 - D) // (4 * a)
-    return QuadForm(a, b2, c2)
-
-
-def _rho(f: QuadForm) -> QuadForm:
-    return _normalize_indefinite(QuadForm(f.c, -f.b, f.a))
-
-
-def form_cycle(f: QuadForm) -> list[QuadForm]:
-    """The cycle of reduced forms through reduce_form(f) (D > 0)."""
-    return list(_cycle(f))
+        b += 2 * aa * ((s - b) // (2 * aa))
+    return a, b, (b * b - D) // (4 * a)
 
 
 def _cycle(f: QuadForm):
-    """Yield the forms of form_cycle(f) one at a time."""
+    """Yield (a, b, c) for each form of the cycle of reduced forms that f
+    reduces into (D > 0), starting at the reduced form of f.  One rho step
+    takes (a, b, c) to (c, -b, a), normalized; D and isqrt(D) stay fixed
+    for the whole walk."""
     D = f.discriminant
-    start = g = reduce_form(f)
+    s = isqrt(D)
+    a, b, c = _normalize_indefinite(f.a, f.b, D, s)
+    while not _reduced_indefinite(a, b, s):
+        a, b, c = _normalize_indefinite(c, -b, D, s)
+    start = a, b, c
     # proven bound on the period, with slack
-    for _ in range(10 * (isqrt(D) + 2) * (D.bit_length() + 2)):
-        yield g
-        g = _rho(g)
-        if g == start:
+    for _ in range(10 * (s + 2) * (D.bit_length() + 2)):
+        yield a, b, c
+        a, b, c = _normalize_indefinite(c, -b, D, s)
+        if (a, b, c) == start:
             return
     raise InternalInconsistency(f"cycle bound exceeded for D={D}")
 
@@ -158,14 +146,11 @@ def reduced_indefinite_forms(D: int) -> list[QuadForm]:
     for b in range(1, s + 1):
         if (D - b) % 2:
             continue
+        # 0 < b <= s and s - b < 2|a| <= s + b: every form here is reduced
         for aa in range((s - b) // 2 + 1, (s + b) // 2 + 1):
-            if aa == 0 or (b * b - D) % (4 * aa):
-                continue
-            for a in (aa, -aa):
-                c = (b * b - D) // (4 * a)
-                f = QuadForm(a, b, c)
-                if is_reduced(f):
-                    out.append(f)
+            if (b * b - D) % (4 * aa) == 0:
+                out += (QuadForm(a, b, (b * b - D) // (4 * a))
+                        for a in (aa, -aa))
     return out
 
 
@@ -184,7 +169,7 @@ def class_number(D: int) -> int:
     cycles = 0
     while forms:
         f = next(iter(forms))
-        forms -= set(form_cycle(f))
+        forms -= set(_cycle(f))
         cycles += 1
     return cycles // 2 if fundamental_unit_norm(D) == 1 else cycles
 
@@ -197,7 +182,7 @@ def fundamental_unit_norm(D: int) -> int:
     require_fundamental_discriminant(D)
     if D <= 0:
         raise PreconditionViolated(f"fundamental_unit_norm needs D > 0, got {D}")
-    return -1 if any(g.a == -1 for g in _cycle(principal_form(D))) else 1
+    return -1 if any(a == -1 for a, _, _ in _cycle(principal_form(D))) else 1
 
 
 # --------------------------------------------------------------------------
@@ -297,7 +282,7 @@ def is_principal(I: QuadIdeal) -> bool:
     f = I.form()
     if I.D < 0:
         return reduce_form(f) == principal_form(I.D)
-    return any(abs(g.a) == 1 for g in _cycle(f))
+    return any(abs(a) == 1 for a, _, _ in _cycle(f))
 
 
 def split_prime(D: int, p: int):

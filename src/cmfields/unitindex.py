@@ -3,6 +3,10 @@ the capitulation kernel for the supported classes of abelian CM-fields.
 
 The cascade runs first-match-wins after reducing to the subfield of
 2-power degree (the unit index is invariant under odd-degree reduction).
+A decomposable field is decided by how many of its prime-power
+components are imaginary, read off the field's own characters (a
+component is imaginary when one of its characters is odd); a
+biquadratic one by principality in its real quadratic subfield.
 Fields outside the supported classes raise UnsupportedField; callers may
 re-invoke with an explicit override.
 """
@@ -92,7 +96,7 @@ def hasse_unit_index(
 
     components = K.prime_power_decomposition()
     if components is not None:
-        imaginary = sum(1 for comp in components if comp.is_cm())
+        imaginary = sum(any(c.is_odd() for c in comp) for comp in components)
         if imaginary == 0:
             raise InternalInconsistency("CM field with no CM component")
         if imaginary == 1:

@@ -292,15 +292,32 @@ def test_subfield_relation():
     assert not quadratic_field(-3).is_subfield_of(cyclotomic_field(20))
 
 
+def _component_fields(K):
+    """The components of K's decomposition as fields: each one's own
+    characters with the principal character added; None when K does not
+    decompose."""
+    comps = K.prime_power_decomposition()
+    if comps is None:
+        return None
+    own = set(K.chars)
+    assert all(c in own and not c.is_principal() for comp in comps for c in comp)
+    trivial = principal_character(K.modulus)
+    return [AbelianField(comp + [trivial]) for comp in comps]
+
+
 def test_prime_power_decomposition_examples():
     L = quadratic_field(-4).compositum(quadratic_field(5))
-    comps = L.prime_power_decomposition()
+    comps = _component_fields(L)
     assert comps is not None
     assert sorted(c.conductor for c in comps) == [4, 5]
+    assert comps == _decomposition_by_primitive_keys(L)
     assert quadratic_field(-20).prime_power_decomposition() is None
-    comps = cyclotomic_field(15).prime_power_decomposition()
+    assert _decomposition_by_primitive_keys(quadratic_field(-20)) is None
+    K = cyclotomic_field(15)
+    comps = _component_fields(K)
     assert comps is not None
     assert sorted((c.conductor, c.degree) for c in comps) == [(3, 2), (5, 4)]
+    assert comps == _decomposition_by_primitive_keys(K)
 
 
 def _decomposition_by_primitive_keys(K):
@@ -336,7 +353,7 @@ def test_prime_power_decomposition_matches_primitive_keys():
     fields += [K for m in range(1, 41) for K in _subfields(m)]
     split = 0
     for K in fields:
-        comps = K.prime_power_decomposition()
+        comps = _component_fields(K)
         assert comps == _decomposition_by_primitive_keys(K), K
         split += comps is not None
     assert 0 < split < len(fields)

@@ -12,8 +12,8 @@ from cmfields.quadratic import (
     QuadForm,
     QuadIdeal,
     SplitType,
+    _cycle,
     class_number,
-    form_cycle,
     fundamental_unit_norm,
     ideal_from_form,
     ideal_mul,
@@ -195,6 +195,102 @@ def test_principality_examples_from_unit_index_cases():
     assert not is_principal(b10)  # x^2 - 10 y^2 = +-2 insoluble mod 5
 
 
+# -- the QuadForm walk as first written, the oracle for quadratic._cycle
+
+
+def _lt_sqrt(x, D):
+    """x < sqrt(D), exactly (D > 0, not a square)."""
+    return x < 0 or x * x < D
+
+
+def _is_reduced_indefinite(f):
+    D = f.discriminant
+    return (0 < f.b and _lt_sqrt(f.b, D) and _lt_sqrt(2 * abs(f.a) - f.b, D)
+            and not _lt_sqrt(2 * abs(f.a) + f.b, D))
+
+
+def _normalize_indefinite(f):
+    D = f.discriminant
+    a, b = f.a, f.b
+    s = isqrt(D)
+    aa = abs(a)
+    b2 = b % (2 * aa)
+    if aa > s:
+        # b into (-|a|, |a|]
+        if b2 > aa:
+            b2 -= 2 * aa
+    else:
+        # b into (s - 2|a|, s]
+        b2 += 2 * aa * ((s - b2) // (2 * aa))
+    return QuadForm(a, b2, (b2 * b2 - D) // (4 * a))
+
+
+def _rho(f):
+    return _normalize_indefinite(QuadForm(f.c, -f.b, f.a))
+
+
+def form_cycle(f):
+    """The cycle of reduced forms that f reduces into (D > 0), starting at
+    the reduced form of f."""
+    g = _normalize_indefinite(f)
+    while not _is_reduced_indefinite(g):
+        g = _rho(g)
+    cycle = [g]
+    while (g := _rho(cycle[-1])) != cycle[0]:
+        cycle.append(g)
+    return cycle
+
+
+def _reduced_indefinite_forms_by_scan(D):
+    """Every (a, b, c) with b > 0 and a c = (b^2 - D)/4 that the oracle's
+    reducedness test accepts."""
+    out = []
+    for b in range(D % 2, isqrt(D) + 1, 2):
+        n = (D - b * b) // 4
+        for d in range(1, isqrt(n) + 1):
+            if n % d == 0:
+                for a in {d, n // d}:
+                    for f in (QuadForm(a, b, -n // a), QuadForm(-a, b, n // a)):
+                        if _is_reduced_indefinite(f):
+                            out.append(f)
+    return out
+
+
+def test_cycle_matches_quadform_walk():
+    """Every fundamental D < 20,001: the cycle of the principal form, and of
+    the prime above 2 where 2 is not inert."""
+    count = above2 = 0
+    for D in range(5, 20001):
+        if not is_fundamental_discriminant(D):
+            continue
+        f = principal_form(D)
+        assert list(_cycle(f)) == form_cycle(f), D
+        _, ideal = split_prime(D, 2)
+        if ideal is not None:
+            f = ideal.form()
+            assert list(_cycle(f)) == form_cycle(f), D
+            above2 += 1
+        count += 1
+    assert count == 6081 and 0 < above2 < count
+
+
+def test_class_number_matches_cycle_partition():
+    """h(D) for every fundamental 0 < D <= 8000 against the oracle's own
+    scan for reduced forms, split into oracle cycles."""
+    for D in range(5, 8001):
+        if not is_fundamental_discriminant(D):
+            continue
+        forms = set(_reduced_indefinite_forms_by_scan(D))
+        assert sorted(reduced_indefinite_forms(D)) == sorted(forms), D
+        cycles = 0
+        while forms:
+            forms -= set(form_cycle(next(iter(forms))))
+            cycles += 1
+        narrow_equals_wide = _unit_norm_by_continued_fraction(D) == -1
+        assert class_number(D) == (cycles if narrow_equals_wide
+                                   else cycles // 2), D
+
+
 def _narrow_class_number(D):
     """h+(D) for D > 0: the number of cycles of reduced forms."""
     forms = set(reduced_indefinite_forms(D))
@@ -245,9 +341,9 @@ def test_unit_norm_period_parity():
 def test_form_cycle_closes():
     for D in (40, 136, 229):
         f = principal_form(D)
-        cycle = form_cycle(f)
-        assert reduce_form(f) in cycle
-        assert all(g.discriminant == D for g in cycle)
+        cycle = list(_cycle(f))
+        assert reduce_form(f) == cycle[0]
+        assert all(QuadForm(*g).discriminant == D for g in cycle)
         assert len(cycle) % 2 == 0  # rho alternates the sign of a
 
 

@@ -19,6 +19,7 @@ from cmfields.errors import (
     PreconditionViolated,
 )
 from cmfields.arith import factorize
+from cmfields.characters import DirichletCharacter
 from cmfields.fields import (
     AbelianField,
     cyclotomic_field,
@@ -254,3 +255,40 @@ def test_v4_sweep_does_each_quadratic_step_once(monkeypatch, capsys):
     assert bodies == Counter({(name, (d,)): 1 for d in discs
                               for name in ("quadratic_field", "class_number")})
     assert entered[0] == len(pairs) and rebuilt == [0]
+
+
+def test_v4_sweep_decomposes_without_building(monkeypatch, capsys):
+    """`prime_power_decomposition`, which the cascade still enters on
+    `verify v4 --sweep`, hands back the field's own characters: it builds
+    no field and no character."""
+    results, inside, built = [], [0], Counter()
+    decompose = AbelianField.prime_power_decomposition
+    init = AbelianField.__init__
+    set_character = DirichletCharacter._set
+
+    def counted_decompose(self):
+        inside[0] += 1
+        try:
+            comps = decompose(self)
+        finally:
+            inside[0] -= 1
+        results.append(comps is not None)
+        return comps
+
+    def counted_init(self, chars):
+        built["AbelianField"] += inside[0] > 0
+        init(self, chars)
+
+    def counted_set(self, modulus, exponents):
+        built["DirichletCharacter"] += inside[0] > 0
+        set_character(self, modulus, exponents)
+
+    monkeypatch.setattr(AbelianField, "prime_power_decomposition",
+                        counted_decompose)
+    monkeypatch.setattr(AbelianField, "__init__", counted_init)
+    monkeypatch.setattr(DirichletCharacter, "_set", counted_set)
+
+    assert main(["verify", "v4", "--sweep", "--max", "300"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 20
+    assert True in results and False in results
+    assert +built == Counter()
