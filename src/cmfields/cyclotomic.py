@@ -19,8 +19,15 @@ prime-power block q of (Z/nZ)* at a time, the smallest group first, so
 the largest group's products run in the smallest ring.  Each step down
 is a Ramanujan-sum projection, checked twice: an exact division by
 p - 1, and the lift back up, which must give the orbit product again.
-Both checks and the final "the norm is rational" raise
+The last block stops at its index-2 subgroup H: the orbit product U over
+H must be fixed by each generator of H, and the norm U * sigma_g(U),
+g outside H, is then rational and is read off one integer product at
+x = 2^k, modulo Phi_n(2^k).  All three checks raise
 `InternalInconsistency`.
+
+Products in the half ring are one big-int multiplication each (Kronecker
+substitution); digits of up to 8 bytes are packed and unpacked through
+`array` buffers, wider ones through bytes.
 
 `CycNumber` has no arithmetic.  The field arithmetic that checks the
 kernel (sums, products, lifts, cross-level equality) is a subclass in
@@ -33,6 +40,8 @@ out; it returns its argument's class.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
@@ -175,22 +184,64 @@ def absolute_norm(x: CycNumber) -> Rational:
     of order o of the block, P becomes prod_(j<o) sigma_(g^j)(P), built by
     the binary digits of o.  While another block is left, P now lies in
     Q(zeta_(n/q)) and `_descend` carries it there, checked, so the next
-    block works in a ring about phi(q) times smaller.  At the last block
-    one reduction mod Phi_n must leave a rational c, and the norm is
-    c / den^phi(n).  A level with one block takes no descent.
+    block works in a ring about phi(q) times smaller.  The last block is
+    finished on its index-2 subgroup (`_finish`), and the norm is the
+    rational it gives over den^phi(n).  A level with one block takes no
+    descent.
     """
     poly, n = _half_ring(list(x.num), x.level)
     while True:
         gens, descent = _level_plan(n)
-        for g, o in gens:
-            poly = _orbit_product(poly, g, o)
         if descent is None:
             break
+        for g, o in gens:
+            poly = _orbit_product(poly, g, o)
         poly, n = _descend(poly, n, descent)
-    rem = _reduce(poly, n)
-    if any(rem[1:]):
-        raise InternalInconsistency("norm did not land in Q")
-    return Fraction(rem[0], x.den ** len(x.num))
+    return Fraction(_finish(poly, n, gens), x.den ** len(x.num))
+
+
+def _finish(poly: list[int], n: int, gens) -> int:
+    """The norm of P down the last block, gens, of the even level n.
+
+    With g of order o the last generator (o is even for n > 2), U is the
+    orbit product of P over the index-2 subgroup H = <the other
+    generators, g^2>.  U must be fixed mod Phi_n by each generator of H,
+    or InternalInconsistency is raised; then U lies in a quadratic field
+    and N = U * sigma_g(U) is rational.  N is read at x = 2^k: Phi_n
+    divides U * sigma_g(U) - N in Z[x], so N is the centred residue of
+    U(2^k) * sigma_g(U)(2^k) mod Phi_n(2^k).  Phi_n(2^k) >= (2^k - 1)^phi(n)
+    and |N| = |U(zeta)| |sigma_g(U)(zeta)| <= h^2 max|U|^2, so k with
+    (2^k - 1)^phi(n) > 2 h^2 max|U|^2 leaves one candidate.  So the widest
+    product of the orbit becomes two evaluations and one multiply about h
+    times narrower.  Level 2 has no generator: P is an integer already.
+    """
+    if not gens:  # level 2: the half ring Z[x]/(x + 1) is Z
+        return poly[0]
+    *rest, (g, o) = gens
+    fixers = [t for t, _ in rest] + [g * g % n]  # generators of H
+    for t, ot in rest:
+        poly = _orbit_product(poly, t, ot)
+    u = _orbit_product(poly, fixers[-1], o // 2)
+    for t in fixers:
+        if any(_reduce([a - b for a, b in zip(_sigma(t, u), u)], n)):
+            raise InternalInconsistency(
+                f"norm did not land in Q: the index-2 orbit product at level"
+                f" {n} is not fixed by sigma_{t}")
+    phi = cyclotomic_polynomial(n)
+    bound = 2 * (len(u) * max(map(abs, u))) ** 2
+    # (2^k - 1)^phi(n) >= 2^((k-1) phi(n)) > bound
+    k = -(-bound.bit_length() // (len(phi) - 1)) + 1
+    modulus = _at_power_of_two(phi, k)
+    r = _at_power_of_two(u, k) * _at_power_of_two(_sigma(g, u), k) % modulus
+    return r - modulus if 2 * r > modulus else r
+
+
+def _at_power_of_two(coeffs, k: int) -> int:
+    """sum_j coeffs[j] 2^(k j), by Horner's rule."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << k) + c
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -309,24 +360,43 @@ def _sigma(k: int, p: list[int]) -> list[int]:
     return out
 
 
+# the array typecode of each native digit width in bytes (1, 2, 4, 8)
+_TYPECODES = {array(t).itemsize: t for t in "bhilq"}
+_SWAP = sys.byteorder == "big"
+
+
 def _negacyclic_mul(a: list[int], b: list[int]) -> list[int]:
     """a * b in Z[x]/(x^h + 1) as one big-int product.
 
     Kronecker substitution: evaluate at x = 2^bits with bits so wide that
     every coefficient of the product, folded mod x^h + 1, is below
     2^(bits-1) in absolute value, and read the digits back signed.
+
+    Digits of up to 8 bytes take the next native width and move through
+    `array` buffers as two's complement; one XOR with the offset integer
+    (2^(bits-1) in every digit) turns that into offset form, c + 2^(bits-1),
+    and back.  Wider digits go through bytes one digit at a time.
     """
     h = len(a)
     ma, mb = max(map(abs, a)), max(map(abs, b))
     bound = max(h * ma * mb, ma, mb)  # the inputs are packed at this width too
     width = (bound.bit_length() + 8) // 8  # bytes per digit
+    code = None
+    if width <= 8:
+        width = min(w for w in _TYPECODES if w >= width)
+        code = _TYPECODES[width]
     bits = 8 * width
     half = 1 << (bits - 1)
     offset = int.from_bytes(half.to_bytes(width, "little") * h, "little")
 
     def pack(v):
-        raw = b"".join((c + half).to_bytes(width, "little") for c in v)
-        return int.from_bytes(raw, "little") - offset
+        if code is None:
+            raw = b"".join((c + half).to_bytes(width, "little") for c in v)
+            return int.from_bytes(raw, "little") - offset
+        buf = array(code, v)
+        if _SWAP:
+            buf.byteswap()
+        return (int.from_bytes(buf.tobytes(), "little") ^ offset) - offset
 
     prod = pack(a) * pack(b)
     # fold x^h = -1: the low h digits read as a signed number, minus the rest
@@ -336,7 +406,12 @@ def _negacyclic_mul(a: list[int], b: list[int]) -> list[int]:
     if low >= 1 << (size - 1):
         low -= 1 << size
         high += 1
-    raw = (low - high + offset).to_bytes(width * h, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, width * h, width)]
-
+    folded = low - high + offset
+    if code is None:
+        raw = folded.to_bytes(width * h, "little")
+        return [int.from_bytes(raw[i:i + width], "little") - half
+                for i in range(0, width * h, width)]
+    buf = array(code, (folded ^ offset).to_bytes(width * h, "little"))
+    if _SWAP:
+        buf.byteswap()
+    return buf.tolist()

@@ -56,6 +56,10 @@ def bernoulli_b1(chi: DirichletCharacter) -> CycNumber:
     acc = [0] * n
     for u, t in prefix:
         vals = [u * x % f for x in powers] if u != 1 else powers
+        if period == o:  # one residue per exponent class
+            for r, v in enumerate(vals):
+                acc[(t + r * s) % n] += v
+            continue
         for r in range(period):
             acc[(t + r * s) % n] += sum(vals[r::period])
     # a and f - a are both units, so the residues sum to f phi(f) / 2

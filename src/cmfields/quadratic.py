@@ -67,23 +67,29 @@ def reduce_form(f: QuadForm) -> QuadForm:
 
 def _reduce_definite(f: QuadForm) -> QuadForm:
     a, b, c = f.a, f.b, f.c
+    D = f.discriminant
     if a < 0:
         raise ValueError("positive definite forms only")
-    while True:
+    # Every swap but the first follows a translation, so it maps a form
+    # with |b| <= a and c < a to a' = c = (b^2 + |D|)/(4a): a' <= a/2 while
+    # a >= sqrt|D|, and below that c < a needs a > sqrt|D|/2, with a' < a.
+    # A translation or a sign flip comes only before a swap, a sign flip
+    # or the return, so there are at most 2 swaps + 3 steps.
+    for _ in range(2 * (max(a, c).bit_length() + isqrt(-D) + 2) + 3):
         if c < a:
             a, b, c = c, -b, a
             continue
         if abs(b) > a or (b == -a):
             # translate b into (-a, a]
             r = (a - b) // (2 * a)
-            b2 = b + 2 * r * a
-            c = (b2 * b2 - f.discriminant) // (4 * a)
-            b = b2
+            b += 2 * r * a
+            c = (b * b - D) // (4 * a)
             continue
         if a == c and b < 0:
             b = -b
             continue
         return QuadForm(a, b, c)
+    raise InternalInconsistency(f"reduction bound exceeded for {f}")
 
 
 def _normalize_indefinite(a: int, b: int, D: int, s: int):
@@ -107,8 +113,15 @@ def _cycle(f: QuadForm):
     D = f.discriminant
     s = isqrt(D)
     a, b, c = _normalize_indefinite(f.a, f.b, D, s)
-    while not _reduced_indefinite(a, b, s):
+    # a step from a normalized form with |a| > sqrt(D) takes |a| to
+    # |c| <= |a|/4; one with sqrt(D)/2 < |a| < sqrt(D) leads to |c| <
+    # sqrt(D)/2, and a normalized form with 2|a| < sqrt(D) is reduced
+    for _ in range(abs(a).bit_length() + 3):
+        if _reduced_indefinite(a, b, s):
+            break
         a, b, c = _normalize_indefinite(c, -b, D, s)
+    else:
+        raise InternalInconsistency(f"reduction bound exceeded for {f}")
     start = a, b, c
     # proven bound on the period, with slack
     for _ in range(10 * (s + 2) * (D.bit_length() + 2)):

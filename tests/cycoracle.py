@@ -7,7 +7,9 @@ arithmetic the tests check the kernel with, so `absolute_norm` and
 `galois_apply` take a `Cyc` unchanged, and `galois_apply` returns one.
 `Cyc.of` reads a value the program built, such as `bernoulli_b1(chi)`.
 `norm_whole_ring` is the norm kernel before its descent down the tower,
-the oracle for `absolute_norm`.
+the oracle for `absolute_norm`, and `negacyclic_schoolbook` is the
+coefficient-by-coefficient product that checks the kernel's Kronecker
+multiply `_negacyclic_mul`, which `norm_whole_ring` shares with it.
 
 Arithmetic requires equal levels; lift explicitly with `lift` when mixing
 levels (Q(zeta_e) embeds in Q(zeta_e') for e | e').  Equality and the hash
@@ -194,6 +196,20 @@ def _poly_rem(num: list, den: tuple) -> list:
         for j, dj in enumerate(den):
             num[i - dn + j] -= c * dj
     return num[:dn]
+
+
+def negacyclic_schoolbook(a: list, b: list) -> list:
+    """a * b in Z[x]/(x^h + 1), h = len(a) = len(b), one coefficient
+    product at a time: x^(i+j) = -x^(i+j-h) when i + j >= h."""
+    h = len(a)
+    out = [0] * h
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < h:
+                out[i + j] += x * y
+            else:
+                out[i + j - h] -= x * y
+    return out
 
 
 def norm_whole_ring(x: CycNumber) -> Fraction:

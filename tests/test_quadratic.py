@@ -5,9 +5,9 @@ from math import isqrt
 
 import pytest
 
-from cmfields import unitindex
+from cmfields import quadratic, unitindex
 from cmfields.arith import factorize, is_fundamental_discriminant, is_prime
-from cmfields.errors import NotFundamentalDiscriminant
+from cmfields.errors import InternalInconsistency, NotFundamentalDiscriminant
 from cmfields.quadratic import (
     QuadForm,
     QuadIdeal,
@@ -403,3 +403,24 @@ def test_ideal_sqrt_matches_split_prime_walk_on_the_v4_sweep(monkeypatch):
             assert is_principal(got) == _is_principal_whole_cycle(got), (D, n)
         results.add(None if got is None else is_principal(got))
     assert {False, True} <= results
+
+
+def _normalize_off_by_one(a, b, D, s):
+    """`quadratic._normalize_indefinite` with the offset (s - b - 1) // (2|a|)
+    in place of (s - b) // (2|a|): b lands 2|a| low whenever s - b is a
+    multiple of 2|a|.  For D = 8 every form it returns has b = 0, so none
+    is reduced and an unbounded reduction loop would never end."""
+    aa = abs(a)
+    b %= 2 * aa
+    if aa > s:
+        if b > aa:
+            b -= 2 * aa
+    else:
+        b += 2 * aa * ((s - b - 1) // (2 * aa))
+    return a, b, (b * b - D) // (4 * a)
+
+
+def test_a_faulty_normalizer_raises_instead_of_hanging(monkeypatch):
+    monkeypatch.setattr(quadratic, "_normalize_indefinite", _normalize_off_by_one)
+    with pytest.raises(InternalInconsistency, match="reduction bound exceeded"):
+        fundamental_unit_norm(8)
