@@ -1,5 +1,9 @@
 """Integer substrate: factorization, (Z/mZ)* structure, Kronecker symbols.
 
+Each canonical generator of (Z/mZ)* is lifted from its prime-power block
+by one modular inverse.  No discrete-log table is built: the one log the
+program needs, at a change of primitive root, is `characters._log`.
+
 All rational arithmetic in the package uses `fractions.Fraction`, re-exported
 here as `Rational`; it is exact and always stored in lowest terms.
 """
@@ -11,8 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from .errors import (DegreeBoundExceeded, InternalInconsistency,
-                     NotFundamentalDiscriminant, PreconditionViolated)
+from .errors import DegreeBoundExceeded, NotFundamentalDiscriminant
 
 Rational = Fraction
 
@@ -125,42 +128,11 @@ def smallest_primitive_root(q: int) -> int:
     raise ValueError(f"no primitive root mod {q}")
 
 
-def crt(residues: list[int], moduli: list[int]) -> int:
-    """Solve x = r_i mod m_i for pairwise coprime moduli."""
-    x, m = 0, 1
-    for r, mi in zip(residues, moduli):
-        g, inv, _ = _xgcd(m, mi)
-        if g != 1:
-            raise PreconditionViolated(f"moduli {moduli} are not pairwise coprime")
-        x = (x + (r - x) * inv % mi * m) % (m * mi)
-        m *= mi
-    return x
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with a*u + b*v = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        return -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a/n), defined for all integers n."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
+    """Kronecker symbol (a/n) for n >= 1."""
+    if n < 1:
+        raise ValueError(f"kronecker requires n >= 1, got {n}")
     sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
     # pull out factors of 2 from n
     t = 0
     while n % 2 == 0:
@@ -244,32 +216,10 @@ def unit_group(m: int) -> UnitGroupStructure:
                 local = [(q - 1, 2), (5, 2 ** (e - 2))]
         else:
             local = [(smallest_primitive_root(q), euler_phi(q))]
+        r = m // q
         for g, order in local:
-            # lift to a residue mod m that is g mod q and 1 mod m/q
-            lifted = crt([g, 1], [q, m // q]) if m != q else g
-            gens.append(lifted)
+            # the residue mod m that is g mod q and 1 mod r
+            gens.append(g + q * ((1 - g) * pow(q, -1, r) % r))
             orders.append(order)
             blocks.append(q)
     return UnitGroupStructure(m, tuple(gens), tuple(orders), tuple(blocks))
-
-
-@lru_cache(maxsize=None)
-def discrete_log_table(m: int) -> dict[int, tuple[int, ...]]:
-    """Map each residue coprime to m to its exponent vector on the canonical
-    generators.  Built once per modulus; idempotent, safe to rebuild."""
-    ug = unit_group(m)
-    table = {1 % m: (0,) * len(ug.generators)}
-    # enumerate all exponent vectors by one generator at a time
-    for i, (g, order) in enumerate(zip(ug.generators, ug.orders)):
-        current = list(table.items())
-        acc = 1
-        for k in range(1, order):
-            acc = acc * g % m
-            for res, vec in current:
-                new = list(vec)
-                new[i] = k
-                table[res * acc % m] = tuple(new)
-    if len(table) != euler_phi(m):
-        raise InternalInconsistency(
-            f"{len(table)} discrete logs mod {m}, expected {euler_phi(m)}")
-    return table

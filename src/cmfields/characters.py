@@ -17,7 +17,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .arith import discrete_log_table, divisors, euler_phi, factorize, unit_group
+from .arith import divisors, euler_phi, factorize, unit_group
 from .errors import InternalInconsistency, LengthMismatch, NotClosed
 
 
@@ -32,7 +32,8 @@ def _block_map(src: int, exponents: tuple[int, ...], dst: int) -> tuple[int, ...
     times o'/o, which is exact because the conductor divides both moduli,
     and times d with g' = g^d mod p^min(k, c).  d = 1 unless the smallest
     primitive roots mod p and mod p^2 differ, as for p = 40487, so the map
-    need not keep the order of exponent tuples.
+    need not keep the order of exponent tuples.  The character's order on
+    the block divides phi(p^min(k, c)), so d is needed only mod that.
     """
     src, dst = unit_group(src), unit_group(dst)
     exps = []
@@ -45,10 +46,23 @@ def _block_map(src: int, exponents: tuple[int, ...], dst: int) -> tuple[int, ...
                 continue
             t = e * o // o0
             if g % n != g0 % n:
-                log = discrete_log_table(n)
-                t *= log[g % n][0] * pow(log[g0 % n][0], -1, len(log))
+                t *= _log(n, g0 % n, g % n)
         exps.append(t % o)
     return tuple(exps)
+
+
+@lru_cache(maxsize=None)
+def _log(n: int, base: int, x: int) -> int:
+    """The least k >= 0 with base^k = x mod n, by a walk over the powers of
+    base; memoized per process on (n, base, x).  Raises
+    InternalInconsistency when phi(n) steps do not reach x, as when base
+    does not generate (Z/nZ)*."""
+    acc = 1
+    for k in range(euler_phi(n)):
+        if acc == x:
+            return k
+        acc = acc * base % n
+    raise InternalInconsistency(f"{x} is not a power of {base} mod {n}")
 
 
 class DirichletCharacter:

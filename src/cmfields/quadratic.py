@@ -7,18 +7,21 @@ classes and decides principality and the norm of the fundamental unit.
 It carries each form as plain integers (a, b, c), with D and isqrt(D)
 fixed for the whole walk.
 
+The square root of (n) is the product of the ramified primes above the
+p with v_p(n) odd, written down in closed form; no general ideal product
+is needed.
+
 Only fundamental discriminants are accepted; callers normalize.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
 
-from .arith import _xgcd, factorize, kronecker, require_fundamental_discriminant
+from .arith import factorize, kronecker, require_fundamental_discriminant
 from .errors import InternalInconsistency, PreconditionViolated
 
 
@@ -222,72 +225,14 @@ class QuadIdeal(namedtuple("QuadIdeal", "D a b")):
     # _replace builds through _make, which would skip the check above
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def normalized(self) -> "QuadIdeal":
-        return QuadIdeal(self.D, self.a, self.b % (2 * self.a))
-
     def form(self) -> QuadForm:
         return QuadForm(self.a, self.b, (self.b * self.b - self.D) // (4 * self.a))
-
-
-def unit_ideal(D: int) -> QuadIdeal:
-    return QuadIdeal(D, 1, D % 2)
 
 
 def ideal_from_form(f: QuadForm) -> QuadIdeal:
     if f.a <= 0:
         raise ValueError("need positive leading coefficient")
     return QuadIdeal(f.discriminant, f.a, f.b)
-
-
-def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
-    """Primitive part of the product ideal (any rational content is a
-    principal factor and is dropped)."""
-    if I.D != J.D:
-        raise PreconditionViolated(f"ideals of discriminants {I.D} and {J.D}")
-    D = I.D
-    # generators of the product as rows (x, y) meaning (x + y sqrt(D))/2
-    rows = [
-        (2 * I.a * J.a, 0),
-        (I.a * J.b, I.a),
-        (J.a * I.b, J.a),
-        ((I.b * J.b + D) // 2, (I.b + J.b) // 2),
-    ]
-    m, x0, g = _hnf_2col(rows)
-    if x0 % g or m % g:
-        raise InternalInconsistency("product module not a multiple of its content")
-    m, x0 = m // g, x0 // g
-    if m % 2:
-        raise InternalInconsistency(f"product ideal of odd index {m}")
-    return QuadIdeal(D, m // 2, x0 % m)
-
-
-def _hnf_2col(rows):
-    """Hermite form of the lattice spanned by integer rows (x, y):
-    returns (m, x0, g) with basis (m, 0), (x0, g)."""
-    g = 0
-    x0 = 0
-    xs = []
-    for x, y in rows:
-        if y:
-            if g == 0:
-                g, x0 = abs(y), x if y > 0 else -x
-            else:
-                gg, u, v = _xgcd(g, y)
-                x0 = u * x0 + v * x
-                g = gg
-        else:
-            xs.append(x)
-    # clear remaining rows against (x0, g)
-    for x, y in rows:
-        if y:
-            k = y // g
-            xs.append(x - k * x0)
-    m = 0
-    for x in xs:
-        m = math.gcd(m, x)
-    if m == 0:
-        raise InternalInconsistency("ideal lattice is not of rank 2")
-    return m, x0 % m, g
 
 
 def is_principal(I: QuadIdeal) -> bool:
@@ -315,19 +260,25 @@ def ideal_sqrt_of_element(D: int, n: int):
     """If (n) is the square of an integral ideal of the order of
     discriminant D, return that square root (primitive part, reduced);
     otherwise None.  None signals essential ramification when n generates
-    the relative quadratic extension."""
+    the relative quadratic extension.
+
+    A prime p | n with v_p(n) odd must ramify, and the root is then the
+    product of the ramified primes above those p: the ideal of norm a,
+    their product, with b = 0 mod the odd part of a and b = D mod 2, and
+    b^2 = D mod 8 when 2 | a.  So b = a when D is odd or D/4 is odd with
+    2 | a, and b = 0 otherwise; `QuadIdeal` checks 4a | b^2 - D.  For
+    D > 0, b in {0, a} is already in [0, 2a)."""
     require_fundamental_discriminant(D)
     if n == 0:
         raise ValueError("n must be nonzero")
-    sqrt = unit_ideal(D)
+    a = 1
     for p, e in factorize(abs(n)):
-        if kronecker(D, p):
-            # split: both conjugate exponents are e; inert: exponent e
-            if e % 2:
+        if e % 2:
+            # unless p ramifies, the p-part of (n) is a square only for e even
+            if kronecker(D, p):
                 return None
-        elif e % 2:
-            # ramified: v_P(n) = 2e, the square root picks up P^e
-            sqrt = ideal_mul(sqrt, split_prime(D, p)[1])
+            a *= p
+    sqrt = QuadIdeal(D, a, a if D % 2 or (a % 2 == 0 and D // 4 % 2) else 0)
     if D < 0:
         return ideal_from_form(reduce_form(sqrt.form()))
-    return sqrt.normalized()
+    return sqrt

@@ -8,9 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmfields.arith import (
-    _xgcd,
-    crt,
-    discrete_log_table,
     divisors,
     euler_phi,
     factorize,
@@ -23,6 +20,8 @@ from cmfields.arith import (
     unit_group,
 )
 from cmfields.errors import DegreeBoundExceeded
+from charoracle import discrete_log_table
+from quadoracle import _xgcd, crt
 
 
 def test_factorize_examples():
@@ -75,6 +74,18 @@ def test_unit_group_canonical_choices():
     assert unit_group(49).generators == (3,)
     assert unit_group(16).generators == (15, 5)
     assert unit_group(32).generators == (31, 5)
+
+
+def test_unit_group_lift_matches_crt():
+    """Each generator is the residue mod m that is its block's generator
+    mod q and 1 mod m/q: one modular inverse gives what the general CRT
+    gives."""
+    for m in range(1, 20001):
+        want = []
+        for p, e in factorize(m):
+            q = p**e
+            want += [crt([g, 1], [q, m // q]) for g in unit_group(q).generators]
+        assert unit_group.__wrapped__(m).generators == tuple(want), m
 
 
 def test_exponent_residue_bijection_exhaustive():
@@ -158,6 +169,12 @@ def test_kronecker_against_euler_criterion():
     assert kronecker(7, 2) == 1
     assert kronecker(3, 2) == -1
     assert kronecker(40, 2) == 0
+
+
+def test_kronecker_rejects_n_below_one():
+    for n in (0, -1, -8):
+        with pytest.raises(ValueError, match="n >= 1"):
+            kronecker(5, n)
 
 
 rationals = st.fractions(

@@ -10,18 +10,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmfields.arith import discrete_log_table, divisors, euler_phi, unit_group
+from cmfields.arith import divisors, euler_phi, unit_group
 from cmfields.characters import (
     DirichletCharacter,
+    _log,
     all_characters,
     galois_orbits,
     principal_character,
 )
 from cmfields.cyclotomic import galois_apply
-from cmfields.errors import LengthMismatch, NotClosed, ParseError
+from cmfields.errors import InternalInconsistency, LengthMismatch, NotClosed, ParseError
 from cmfields.fieldspec import parse_field_spec
 from cmfields.theorems import _subfields
-from charoracle import char_pow, value_exponent
+from charoracle import char_pow, discrete_log_table, value_exponent
 from cycoracle import Cyc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -134,6 +135,19 @@ def test_at_modulus_generator_change():
     lifted = psi.at_modulus(p * p)
     assert lifted.exponents == (p * x % (p * (p - 1)),)
     assert DirichletCharacter(*lifted.primitive_key()) == psi
+
+
+def test_log_matches_the_table_ratio_at_a_generator_change():
+    """The block map's one discrete log, from 5 (mod 40487) to 10 (mod
+    40487^2) and back, against the ratio of their logs in the full table."""
+    p = 40487
+    log = discrete_log_table(p)
+    for base, x in ((5, 10), (10, 5)):
+        assert _log(p, base, x) == log[x][0] * pow(log[base][0], -1, p - 1) % (p - 1)
+    assert _log(p, 5, 10) == 17305
+    # 4 generates only the squares, and 5 is not one
+    with pytest.raises(InternalInconsistency, match="not a power of 4"):
+        _log(p, 4, 5)
 
 
 def test_primitivize_round_trip():

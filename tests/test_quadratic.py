@@ -1,5 +1,6 @@
 """Quadratic-field oracles: forms, class numbers, units, ideals."""
 
+import inspect
 import random
 from math import isqrt
 
@@ -7,7 +8,8 @@ import pytest
 
 from cmfields import quadratic, unitindex
 from cmfields.arith import factorize, is_fundamental_discriminant, is_prime
-from cmfields.errors import InternalInconsistency, NotFundamentalDiscriminant
+from cmfields.errors import (InternalInconsistency, NotFundamentalDiscriminant,
+                             PreconditionViolated)
 from cmfields.quadratic import (
     QuadForm,
     QuadIdeal,
@@ -16,7 +18,6 @@ from cmfields.quadratic import (
     class_number,
     fundamental_unit_norm,
     ideal_from_form,
-    ideal_mul,
     ideal_sqrt_of_element,
     is_principal,
     is_reduced,
@@ -25,9 +26,9 @@ from cmfields.quadratic import (
     reduced_forms,
     reduced_indefinite_forms,
     split_prime,
-    unit_ideal,
 )
 from cmfields.theorems import sweep_v4
+from quadoracle import ideal_mul, normalized, unit_ideal
 
 
 def test_class_number_examples():
@@ -367,7 +368,7 @@ def _ideal_sqrt_by_split_prime(D, n):
             return None
     if D < 0:
         return ideal_from_form(reduce_form(sqrt.form()))
-    return sqrt.normalized()
+    return normalized(sqrt)
 
 
 def test_is_principal_matches_whole_cycle_on_small_prime_ideals():
@@ -403,6 +404,42 @@ def test_ideal_sqrt_matches_split_prime_walk_on_the_v4_sweep(monkeypatch):
             assert is_principal(got) == _is_principal_whole_cycle(got), (D, n)
         results.add(None if got is None else is_principal(got))
     assert {False, True} <= results
+
+
+def test_ideal_sqrt_closed_form_matches_ideal_product():
+    """Every fundamental D with |D| <= 1000, both signs, and every
+    0 < |n| <= 200: the closed form against the product of the ramified
+    primes by `ideal_mul`."""
+    pairs = roots = 0
+    for D in range(-1000, 1001):
+        if not is_fundamental_discriminant(D):
+            continue
+        for n in range(-200, 201):
+            if n:
+                got = ideal_sqrt_of_element(D, n)
+                assert got == _ideal_sqrt_by_split_prime(D, n), (D, n)
+                pairs, roots = pairs + 1, roots + (got is not None)
+    assert pairs == 242800 and roots == 29832
+
+
+# The closed form's b choice, and the choice swapped
+_B_CHOICE = "a if D % 2 or (a % 2 == 0 and D // 4 % 2) else 0"
+_B_SWAPPED = "0 if D % 2 or (a % 2 == 0 and D // 4 % 2) else a"
+
+
+def test_a_swapped_b_choice_raises():
+    """A committed mutant: with b = 0 and b = a swapped, the ideal check in
+    `QuadIdeal` raises, in each branch of the choice (D odd; D/4 odd with
+    a odd and with a even; D/4 even with a even)."""
+    source = inspect.getsource(quadratic.ideal_sqrt_of_element)
+    assert source.count(_B_CHOICE) == 1
+    namespace = dict(vars(quadratic))
+    exec(source.replace(_B_CHOICE, _B_SWAPPED), namespace)
+    mutant = namespace["ideal_sqrt_of_element"]
+    for D, n in ((5, 1), (12, 1), (-20, 2), (8, 2)):
+        assert ideal_sqrt_of_element(D, n) is not None
+        with pytest.raises(PreconditionViolated, match="is not an ideal"):
+            mutant(D, n)
 
 
 def _normalize_off_by_one(a, b, D, s):
