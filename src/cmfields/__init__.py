@@ -11,7 +11,13 @@ from .fields import (
     quadratic_field,
 )
 from .fieldspec import parse_field_spec
-from .hminus import MinusReport, bernoulli_b1, minus_class_number, minus_partial_product
+from .hminus import (
+    MinusReport,
+    bernoulli_b1,
+    minus_class_number,
+    minus_partial_product,
+    orbit_factors,
+)
 from .quadratic import (
     QuadForm,
     QuadIdeal,
@@ -49,6 +55,7 @@ __all__ = [
     "martinet_pair",
     "minus_class_number",
     "minus_partial_product",
+    "orbit_factors",
     "parse_field_spec",
     "quadratic_field",
     "split_prime",

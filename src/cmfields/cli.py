@@ -23,7 +23,7 @@ from .arith import is_prime
 from .errors import CMFieldsError, PreconditionViolated
 from .fieldspec import parse_field_spec
 from .fields import DEFAULT_MAX_DEGREE, cyclotomic_field
-from .hminus import minus_class_number
+from .hminus import MinusReport, minus_class_number, orbit_factors
 from .theorems import (
     check_counterexample,
     check_masley,
@@ -117,22 +117,31 @@ def _jsonable(x):
     return x
 
 
-def _hminus_row(spec_text: str, max_degree: int, q_override=None) -> dict:
+def _hminus_report(spec_text: str, max_degree: int, q_override=None) -> MinusReport:
     field = parse_field_spec(spec_text).build(max_degree=max_degree)
-    report = minus_class_number(field, q_override=q_override)
+    return minus_class_number(field, q_override=q_override)
+
+
+def _hminus_row(spec_text: str, report: MinusReport) -> dict:
     return {
         "field": spec_text,
-        "conductor": field.conductor,
-        "degree": field.degree,
+        "conductor": report.field.conductor,
+        "degree": report.field.degree,
         "w": report.w,
         "Q": report.q,
         "rule": report.rule,
         "h_minus": report.h_minus,
-        "factors": [
-            {"rep": rep, "norm_num": norm.numerator, "norm_den": norm.denominator}
-            for rep, norm in report.orbit_factors
-        ],
     }
+
+
+def _hminus_json_row(spec_text: str, report: MinusReport) -> dict:
+    """The row with its per-orbit factors, which only --json prints."""
+    row = _hminus_row(spec_text, report)
+    row["factors"] = [
+        {"rep": rep, "norm_num": norm.numerator, "norm_den": norm.denominator}
+        for rep, norm in orbit_factors(report.field)
+    ]
+    return row
 
 
 def _unitindex_row(spec_text: str, max_degree: int, override=None) -> dict:
@@ -155,7 +164,8 @@ def cmd_unit_index(args) -> int:
 
 
 def cmd_hminus(args) -> int:
-    row = _hminus_row(args.field, args.max_degree, args.q_override)
+    report = _hminus_report(args.field, args.max_degree, args.q_override)
+    row = (_hminus_json_row if args.json else _hminus_row)(args.field, report)
     if args.json:
         print(json.dumps(_jsonable(row)))
     elif args.csv:
@@ -195,7 +205,8 @@ def _table_specs(args) -> list[str]:
 
 def cmd_table(args) -> int:
     if args.kind == "hminus":
-        worker = lambda s: _hminus_row(s, args.max_degree, args.q_override)
+        row = _hminus_json_row if args.json else _hminus_row
+        worker = lambda s: row(s, _hminus_report(s, args.max_degree, args.q_override))
     else:
         worker = lambda s: _unitindex_row(s, args.max_degree, args.q_override)
 

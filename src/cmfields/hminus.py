@@ -5,6 +5,11 @@ B_chi = (1/f) sum chi(a) a over 1 <= a <= f coprime to f = conductor(chi).
 Each Galois orbit of characters contributes one exact rational factor,
 computed entirely inside Q(zeta_ord(chi)); integrality of the final
 product is certified, never assumed.
+
+The odd characters mod m are the odd primitive characters of the
+conductors f | m, so Q(zeta_m) multiplies one memoized factor P(f) per
+conductor, the product of its orbit factors.  The per-orbit list that only
+the JSON output prints is built on request, by `orbit_factors`.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .arith import unit_group
-from .characters import DirichletCharacter, encode, galois_orbits, orbit_rep
+from .arith import divisors, unit_group
+from .characters import (DirichletCharacter, encode, galois_orbits,
+                         odd_primitive_orbit_reps, orbit_rep)
 from .cyclotomic import CycNumber, absolute_norm
 from .errors import (
     EvenCharacter,
@@ -102,10 +108,24 @@ def orbit_factor(rep: DirichletCharacter) -> Fraction:
     return norm
 
 
-class MinusReport(
-        namedtuple("MinusReport", "field q w rule orbit_factors h_minus")):
-    """h-(field) with its unit index q, the rule that gave q, w, and one
-    (representative encoding, norm) pair per orbit in `orbit_factors`."""
+# conductor f -> product of orbit_factor over the odd primitive orbits mod f
+_CONDUCTOR_FACTORS: dict[int, Fraction] = {}
+
+
+def _conductor_factor(f: int) -> Fraction:
+    """P(f), the product of (-B_(1,chi)/2) over the odd primitive characters
+    mod f (1 when there are none), memoized for the life of the process."""
+    product = _CONDUCTOR_FACTORS.get(f)
+    if product is None:
+        product = Fraction(1)
+        for rep in odd_primitive_orbit_reps(f):
+            product *= orbit_factor(rep)
+        _CONDUCTOR_FACTORS[f] = product
+    return product
+
+
+class MinusReport(namedtuple("MinusReport", "field q w rule h_minus")):
+    """h-(field) with its unit index q, the rule that gave q, and w."""
 
     __slots__ = ()
 
@@ -113,18 +133,19 @@ class MinusReport(
 def minus_class_number(
     K: AbelianField, q_override: int | None = None
 ) -> MinusReport:
-    """Exact h-(K) for a CM abelian field, with per-orbit factors in the
-    order of `K.odd_orbit_representatives()`, each named by the encoding
-    of its representative's primitive key.  `hasse_unit_index` raises
+    """Exact h-(K) for a CM abelian field.  Q(zeta_m) multiplies P(f) over
+    the conductors f | m; any other field multiplies the factors of the
+    orbits of `K.odd_orbit_representatives()`.  `hasse_unit_index` raises
     NotCMField for a field that is not CM."""
     verdict: UnitIndexVerdict = hasse_unit_index(K, override=q_override)
     w = K.roots_of_unity_order()
-    factors = []
     total = Fraction(verdict.q * w)
-    for rep in K.odd_orbit_representatives():
-        norm = orbit_factor(rep)
-        factors.append((encode(*rep.primitive_key()), norm))
-        total *= norm
+    if K._zeta:
+        for f in divisors(K.modulus):
+            total *= _conductor_factor(f)
+    else:
+        for rep in K.odd_orbit_representatives():
+            total *= orbit_factor(rep)
     if total.denominator != 1 or total <= 0:
         raise NonIntegralResult(
             f"h-(K) = {total} is not a positive integer for {K!r}"
@@ -134,9 +155,17 @@ def minus_class_number(
         q=verdict.q,
         w=w,
         rule=verdict.rule,
-        orbit_factors=tuple(factors),
         h_minus=int(total),
     )
+
+
+def orbit_factors(K: AbelianField) -> tuple[tuple[str, Fraction], ...]:
+    """One (representative encoding, norm) pair per odd orbit of K, in the
+    order of `K.odd_orbit_representatives()`, each named by the encoding of
+    its representative's primitive key.  After `minus_class_number(K)`
+    every norm is a memo hit."""
+    return tuple((encode(*rep.primitive_key()), orbit_factor(rep))
+                 for rep in K.odd_orbit_representatives())
 
 
 def minus_partial_product(chars) -> Fraction:

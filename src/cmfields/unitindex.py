@@ -1,8 +1,11 @@
 """Decision engine for Hasse's unit index Q(K) in {1, 2} and the order of
 the capitulation kernel for the supported classes of abelian CM-fields.
 
-The cascade runs first-match-wins after reducing to the subfield of
-2-power degree (the unit index is invariant under odd-degree reduction).
+Q(zeta_m) is answered in closed form from the primes dividing m (see
+`_cyclotomic_verdict`), with no subfield built.  Every other field goes
+through the cascade, which runs first-match-wins after reducing to the
+subfield of 2-power degree (the unit index is invariant under odd-degree
+reduction).
 A decomposable field is decided by how many of its prime-power
 components are imaginary, read off the field's own characters (a
 component is imaginary when one of its characters is odd); a
@@ -76,6 +79,8 @@ def hasse_unit_index(
             raise PreconditionViolated(
                 f"unit index override must be 1 or 2, got {override}")
         return UnitIndexVerdict(override, 1 if override == 2 else None, RULE_OVERRIDE)
+    if K._zeta:
+        return _cyclotomic_verdict(K.modulus)
 
     # reduction to the 2-power-degree subfield: odd relative degree does
     # not change the unit index
@@ -110,6 +115,29 @@ def hasse_unit_index(
         f"no unit-index rule for field of conductor {K.conductor}, "
         f"degree {K.degree}"
     )
+
+
+def _cyclotomic_verdict(m: int) -> UnitIndexVerdict:
+    """The cascade's verdict on Q(zeta_m), m >= 3 and m != 2 mod 4, read off
+    the primes dividing m.
+
+    The 2-primary subfield is the compositum over p^k || m of the 2-Sylow
+    subfield of Q(zeta_(p^k)): Q(zeta_(2^k)) itself, and for odd p the
+    subfield of degree 2^v_2(p - 1) and conductor p, which is CM and is all
+    of Q(zeta_p) exactly when p is a Fermat prime.  So with 2 || phi(m) it
+    is imaginary quadratic; else it is full cyclotomic when every odd p | m
+    is a Fermat prime, and otherwise of prime-power conductor for one prime
+    and decomposable with every component imaginary for more.  Q is 2
+    exactly when more than one prime divides m."""
+    if euler_phi(m) % 4 == 2:
+        return UnitIndexVerdict(1, 1, RULE_IMAG_QUADRATIC)
+    primes = [p for p, _ in factorize(m)]
+    # p - 1 a power of 2: p = 2 or a Fermat prime
+    fermat = all((p - 1) & (p - 2) == 0 for p in primes)
+    if len(primes) == 1:
+        rule = RULE_CYC_PRIME_POWER if fermat else RULE_PRIME_POWER_CONDUCTOR
+        return UnitIndexVerdict(1, 1, rule)
+    return UnitIndexVerdict(2, 1, RULE_CYC_COMPOSITE if fermat else RULE_TWO_IMAGINARY)
 
 
 def biquadratic_verdict(K: AbelianField) -> UnitIndexVerdict:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output formats, determinism, exit codes."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -132,6 +133,24 @@ def test_table_determinism(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# stdout of tables whose rows read the closed forms for Q(zeta_m), as
+# printed before those closed forms: the unit index from the primes of m,
+# h- as a product over the conductors f | m, the orbit list for --json only
+PINNED_TABLES = [
+    (("table", "hminus", "--zeta-range", "1..700", "--json"),
+     "333c428f5125228bff6b889bf38af1cf495398108e5810305d51171a478647be"),
+    (("--max-degree", "3000", "table", "unitindex", "--zeta-range", "1..3000", "--csv"),
+     "965b93b982e208c5f8cf75227e823f6fd2e35fe73079c58a5994bc2dab3683c2"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", PINNED_TABLES, ids=["hminus-json", "unitindex-csv"])
+def test_cyclotomic_tables_are_byte_identical(capsys, argv, sha256):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_table_threads_option_removed(capsys):

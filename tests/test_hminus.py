@@ -30,6 +30,7 @@ from cmfields.hminus import (
     minus_class_number,
     minus_partial_product,
     orbit_factor,
+    orbit_factors,
 )
 from cmfields.quadratic import class_number
 from cmfields.theorems import _subfields
@@ -145,7 +146,7 @@ def test_conjugate_pairing():
 def test_minus_class_number_examples():
     rep = minus_class_number(quadratic_field(-4))
     assert rep.h_minus == 1 and rep.q == 1 and rep.w == 4
-    assert rep.orbit_factors[0][1] == Fraction(1, 4)
+    assert orbit_factors(rep.field)[0][1] == Fraction(1, 4)
     assert minus_class_number(quadratic_field(-23)).h_minus == 3
     assert minus_class_number(cyclotomic_field(20)).h_minus == 1
     assert minus_class_number(quadratic_field(-20)).h_minus == 2
@@ -248,7 +249,7 @@ def test_report_product_identity():
     for spec in (cyclotomic_field(20), cyclotomic_field(23), quadratic_field(-84)):
         rep = minus_class_number(spec)
         total = Fraction(rep.q * rep.w)
-        for _, norm in rep.orbit_factors:
+        for _, norm in orbit_factors(spec):
             total *= norm
         assert total == rep.h_minus
 
@@ -288,6 +289,7 @@ def test_warm_and_cleared_memo_agree():
     warm = [minus_class_number(K) for K in fields]
     for K, report in zip(fields, warm):
         hminus._ORBIT_FACTORS.clear()
+        hminus._CONDUCTOR_FACTORS.clear()
         assert minus_class_number(K) == report
 
 
@@ -300,6 +302,7 @@ def test_one_bernoulli_sum_per_orbit(monkeypatch, capsys):
         return original(chi)
 
     monkeypatch.setattr(hminus, "_ORBIT_FACTORS", {})
+    monkeypatch.setattr(hminus, "_CONDUCTOR_FACTORS", {})
     monkeypatch.setattr(hminus, "bernoulli_b1", counted)
     assert main(["table", "hminus", "--zeta-range", "3..40"]) == 0
     assert capsys.readouterr().out
@@ -327,8 +330,8 @@ def test_orbit_names_match_primitivized_representatives():
     for K in fields:
         # Q scales only the product; 2 keeps it integral on every field,
         # those the unit-index cascade does not cover included
-        report = minus_class_number(K, q_override=2)
-        names = [name for name, _ in report.orbit_factors]
+        minus_class_number(K, q_override=2)
+        names = [name for name, _ in orbit_factors(K)]
         assert names == _primitivized_orbit_names(K), K
 
 
@@ -341,12 +344,11 @@ def test_orbit_names_do_not_depend_on_member_order(monkeypatch):
     from cmfields import fields as fields_module
 
     levels = (7, 15, 16, 20, 39, 55)
-    before = [minus_class_number(cyclotomic_field(m)).orbit_factors
-              for m in levels]
+    before = [orbit_factors(cyclotomic_field(m)) for m in levels]
     monkeypatch.setattr(fields_module, "galois_orbits", lambda chars: [
         orbit[::-1] for orbit in galois_orbits(chars)])
     eager = [AbelianField(all_characters(m)) for m in levels]
-    assert [minus_class_number(K).orbit_factors for K in eager] == before
+    assert [orbit_factors(K) for K in eager] == before
 
 
 def test_orbit_names_survive_a_generator_change():
@@ -363,7 +365,7 @@ def test_orbit_names_survive_a_generator_change():
     assert first.primitive_key() == (p, (5877,))
     reports = [minus_class_number(K) for K in (at_p2, at_p)]
     for report in reports:
-        assert [name for name, _ in report.orbit_factors] == [
+        assert [name for name, _ in orbit_factors(report.field)] == [
             "f=40487:e=653", "f=40487:e=20243"]
     assert reports[0].h_minus == reports[1].h_minus
 
@@ -379,6 +381,7 @@ def test_table_builds_each_primitive_once(monkeypatch, capsys):
         return original_at(self, f)
 
     monkeypatch.setattr(hminus, "_ORBIT_FACTORS", {})
+    monkeypatch.setattr(hminus, "_CONDUCTOR_FACTORS", {})
     monkeypatch.setattr(DirichletCharacter, "at_modulus", counted_at)
     assert main(["table", "hminus", "--zeta-range", "3..40"]) == 0
     assert capsys.readouterr().out

@@ -1,8 +1,9 @@
 """The release gate under `python -O`, which strips assert statements: no
 result may depend on an assert in the package, the records still check
 their fields when they are built, and the norm kernel's checks, the
-orbit-representative count check and the `QuadIdeal` check that certifies
-each ideal square root still fire."""
+orbit-representative count check, the integrality check on h-, the
+`UnitIndexVerdict` check on the unit index of Q(zeta_m) in closed form and
+the `QuadIdeal` check that certifies each ideal square root still fire."""
 
 import os
 import subprocess
@@ -20,7 +21,8 @@ def test_acceptance_suite_under_python_O():
          str(ROOT / "tests" / "test_records.py"),
          str(ROOT / "tests" / "test_norm_descent.py"),
          str(ROOT / "tests" / "test_orbit_reps.py"),
-         str(ROOT / "tests" / "test_quadratic.py")],
+         str(ROOT / "tests" / "test_quadratic.py"),
+         str(ROOT / "tests" / "test_unitindex.py")],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -9,17 +9,18 @@ takes the least primitive key of each orbit.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from cmfields import characters, fields
+from cmfields import characters, fields, hminus
 from cmfields.arith import divisors, euler_phi, unit_group
 from cmfields.characters import (_block_map, all_characters, check_odd_orbit_reps,
                                  cyclotomic_odd_orbit_reps, galois_orbits,
                                  odd_primitive_orbit_reps, orbit_min, orbit_rep)
-from cmfields.errors import InternalInconsistency
+from cmfields.errors import InternalInconsistency, NonIntegralResult
 from cmfields.fields import AbelianField, cyclotomic_field
-from cmfields.hminus import minus_class_number
+from cmfields.hminus import minus_class_number, orbit_factors
 
 LEVELS = [m for m in range(3, 201) if m % 4 != 2]
 
@@ -81,7 +82,7 @@ def test_cyclotomic_reps_follow_galois_orbit_order():
 
 def _report(K):
     report = minus_class_number(K)
-    return report.q, report.w, report.rule, report.orbit_factors, report.h_minus
+    return report.q, report.w, report.rule, orbit_factors(K), report.h_minus
 
 
 def test_minus_class_number_matches_the_character_group():
@@ -92,6 +93,55 @@ def test_minus_class_number_matches_the_character_group():
         eager = AbelianField(all_characters(m))
         assert _report(lazy) == _report(eager), m
         assert lazy._chars is None, m  # h- read no character group
+
+
+def test_conductor_product_matches_the_orbit_walk(monkeypatch):
+    """h-(Q(zeta_m)) as a product of P(f) over f | m against the orbit walk
+    on the eagerly built field, each with memos of its own, for every
+    m <= 400 with phi(m) <= 256; and each P(f) against the product of the
+    walk's orbit factors of conductor f."""
+    levels = [m for m in range(3, 401) if m % 4 != 2 and euler_phi(m) <= 256]
+    monkeypatch.setattr(hminus, "_ORBIT_FACTORS", {})
+    walked = {}
+    for m in levels:
+        K = AbelianField(all_characters(m))
+        report = minus_class_number(K)
+        walked[m] = (report.q, report.w, report.rule, report.h_minus), orbit_factors(K)
+    monkeypatch.setattr(hminus, "_ORBIT_FACTORS", {})
+    monkeypatch.setattr(hminus, "_CONDUCTOR_FACTORS", {})
+    for m in levels:
+        K = cyclotomic_field(m)
+        report = minus_class_number(K)
+        assert (report.q, report.w, report.rule, report.h_minus) == walked[m][0], m
+        assert orbit_factors(K) == walked[m][1], m
+        assert K._chars is None, m
+        for f in divisors(m):
+            by_walk = math.prod((norm for name, norm in walked[m][1]
+                                 if name.startswith(f"f={f}:")), start=Fraction(1))
+            assert hminus._CONDUCTOR_FACTORS[f] == by_walk, (m, f)
+
+
+def test_count_check_guards_the_conductor_product(monkeypatch):
+    """With the memos empty, h-(Q(zeta_m)) builds each conductor's
+    representatives, so a lost one raises there too."""
+    least_units = characters._least_units
+
+    def lossy(t, g):
+        units = least_units(t, g)
+        return units[:-1] if len(units) > 1 else units
+
+    monkeypatch.setattr(characters, "_ODD_REPS", {})
+    monkeypatch.setattr(characters, "_least_units", lossy)
+    monkeypatch.setattr(hminus, "_CONDUCTOR_FACTORS", {})
+    with pytest.raises(InternalInconsistency, match="orbit representatives mod 91"):
+        minus_class_number(cyclotomic_field(91))
+
+
+def test_integrality_check_guards_the_conductor_product(monkeypatch):
+    minus_class_number(cyclotomic_field(23))
+    monkeypatch.setitem(hminus._CONDUCTOR_FACTORS, 1, Fraction(1, 7))
+    with pytest.raises(NonIntegralResult, match="3/7 is not a positive integer"):
+        minus_class_number(cyclotomic_field(23))
 
 
 def test_lazy_field_agrees_with_the_eager_one():

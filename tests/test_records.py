@@ -19,9 +19,8 @@ RECORDS = [
     (UnitGroupStructure, ("modulus", "generators", "orders", "blocks"),
      (20, (11, 17), (2, 4), (4, 5))),
     (FieldSpec, ("kind", "raw", "payload"), ("zeta", "zeta:5", (5,))),
-    (MinusReport, ("field", "q", "w", "rule", "orbit_factors", "h_minus"),
-     (quadratic_field(-23), 1, 2, "imaginary-quadratic",
-      (("f=23:e=11", 3),), 3)),
+    (MinusReport, ("field", "q", "w", "rule", "h_minus"),
+     (quadratic_field(-23), 1, 2, "imaginary-quadratic", 3)),
     (UnitIndexVerdict, ("q", "kappa_order", "rule"), (1, None, "user-override")),
     (MartinetReport, ("p", "unit_norm", "q_biquadratic", "q_octic"), (17, 1, 2, 1)),
     (QuadForm, ("a", "b", "c"), (2, 1, 3)),

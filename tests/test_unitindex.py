@@ -1,5 +1,7 @@
-"""Unit-index cascade and capitulation verdicts."""
+"""Unit-index cascade and capitulation verdicts, and the closed form for
+Q(zeta_m) against the cascade."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -7,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from cmfields.errors import NotCMField, PreconditionViolated, UnsupportedField
-from cmfields.fields import cyclotomic_field, quadratic_field
+from cmfields import unitindex
+from cmfields.errors import (InternalInconsistency, NotCMField,
+                             PreconditionViolated, UnsupportedField)
+from cmfields.fields import AbelianField, cyclotomic_field, quadratic_field
 from cmfields.hminus import minus_class_number
 from cmfields.quadratic import ideal_sqrt_of_element, is_principal
 from cmfields.theorems import _subfields
@@ -28,6 +32,7 @@ from cmfields.unitindex import (
     hasse_unit_index,
     martinet_pair,
 )
+from unitindex_sweep import closed_form_verdict, mismatches
 
 
 def biquad(d1, d2):
@@ -234,3 +239,54 @@ def test_unsupported_field_raises():
     assert K.prime_power_decomposition() is None
     with pytest.raises(UnsupportedField):
         hasse_unit_index(K)
+
+
+def test_cyclotomic_closed_form_matches_the_cascade():
+    """(q, kappa, rule) on every Q(zeta_m), 3 <= m <= 1000, against the
+    cascade on the eagerly built field; `tests/unitindex_sweep.py` runs
+    the same check up to 3000."""
+    assert mismatches(closed_form_verdict, 1000) == []
+
+
+def test_cyclotomic_closed_form_builds_no_subfield(monkeypatch):
+    def refuse(self):
+        raise AssertionError("2-primary subfield built")
+
+    monkeypatch.setattr(AbelianField, "two_primary_subfield", refuse)
+    for m in (3, 5, 15, 16, 39, 40, 255, 256, 1155):
+        K = cyclotomic_field(m, max_degree=m)
+        hasse_unit_index(K)
+        assert K._chars is None, m
+
+
+# (exact snippet of `_cyclotomic_verdict`, committed mutant)
+_FERMAT_TEST = "fermat = all((p - 1) & (p - 2) == 0 for p in primes)"
+_Q_TWO = "return UnitIndexVerdict(2, 1, "
+CLOSED_FORM_MUTANTS = {
+    "fermat test dropped": (_FERMAT_TEST, "fermat = True"),
+    "q = 1 for r > 1": (_Q_TWO, "return UnitIndexVerdict(1, 1, "),
+}
+
+
+def _mutated_closed_form(snippet, replacement):
+    source = inspect.getsource(unitindex._cyclotomic_verdict)
+    assert source.count(snippet) == 1
+    namespace = dict(vars(unitindex))
+    exec(source.replace(snippet, replacement), namespace)
+    return namespace["_cyclotomic_verdict"]
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_MUTANTS)
+def test_the_cascade_oracle_kills_closed_form_mutants(name):
+    mutant = _mutated_closed_form(*CLOSED_FORM_MUTANTS[name])
+    assert mismatches(lambda m: tuple(mutant(m)), 1000)
+
+
+def test_closed_form_verdicts_pass_the_invariant_check():
+    """The closed form's verdicts go through `UnitIndexVerdict`, whose
+    check also holds under `python -O`: q = 2 with an unknown kernel
+    raises."""
+    mutant = _mutated_closed_form(_Q_TWO, "return UnitIndexVerdict(2, None, ")
+    assert mutant(16).q == 1
+    with pytest.raises(InternalInconsistency, match="unit index 2 with"):
+        mutant(15)
