@@ -4,7 +4,9 @@ of (Z/mZ)*.
 The program reads a character through its exponent vector alone: order,
 conductor, parity, the primitive key, lifts, and the Galois orbits with
 their representatives.  Values chi(a), products and powers are never
-needed, so none are defined here.
+needed, so none are defined here.  The odd primitive orbits of one
+conductor, the factors h-(Q(zeta_m)) multiplies over, get their
+representatives in closed form, with no character group built.
 
 The text encoding "f=<m>:e=<e1,...,ek>" (defining modulus, exponents in
 canonical generator order) is stable across runs and versions; `encode`
@@ -242,43 +244,6 @@ def orbit_rep(orbit) -> DirichletCharacter:
     return min(orbit, key=DirichletCharacter.primitive_key)
 
 
-def orbit_min(exponents, orders) -> tuple[int, ...]:
-    """The least exponent tuple in the Galois orbit of the character with
-    these exponents on generators of these orders: the least
-    (k x_i mod o_i)_i over the k prime to the character's order.
-
-    One coordinate at a time: with k fixed mod s by the earlier ones, k x
-    mod o runs over the d v with d = gcd(x, o) and v a unit mod t = o/d in
-    the class of k x/d mod gcd(s, t), so the least is d times the least
-    such unit.  That choice fixes k mod lcm(s, t).  A lift by `_block_map`
-    need not keep exponent order, so this is taken at the modulus wanted.
-    """
-    s, k = 1, 0
-    out = []
-    for x, o in zip(exponents, orders):
-        d = math.gcd(x, o)
-        if d == o:
-            out.append(0)
-            continue
-        t = o // d
-        if s == 1:
-            # the first nontrivial coordinate: d itself, with k = (x/d)^-1
-            k, s = pow(x // d, -1, t), t
-            out.append(d)
-            continue
-        g = math.gcd(s, t)
-        u = x // d
-        v = k * u % g or 1
-        while math.gcd(v, t) != 1:
-            v += g
-        # k' = k mod s and k' u = v mod t; both agree mod g
-        j = (v * pow(u, -1, t) - k) // g * pow(s // g, -1, t // g)
-        k += s * (j % (t // g))
-        s = s * t // g
-        out.append(d * v % o)
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _least_units(t: int, g: int) -> tuple[int, ...]:
     """For each unit class mod g | t, the least unit mod t in that class;
@@ -349,58 +314,36 @@ def check_odd_orbit_reps(f: int, reps) -> None:
             f"not the {want} odd primitive ones")
 
 
-# conductor f -> its odd primitive orbit representatives
-_ODD_REPS: dict[int, tuple[DirichletCharacter, ...]] = {}
-
-
 def odd_primitive_orbit_reps(f: int) -> tuple[DirichletCharacter, ...]:
     """The least-key member of each Galois orbit of odd primitive characters
-    mod f, as characters mod f in increasing exponent order; memoized per
-    process on f.
+    mod f, as characters mod f in increasing exponent order.
 
-    No character group is built.  A tuple is an orbit's least exactly when
-    `orbit_min` gives it back, so on each generator it is d v with
-    t = o/d the component's order and v the least unit mod t in its class
-    mod gcd(s, t), s the lcm of the earlier orders; every class prime to
-    that gcd occurs.  The orders t that are primitive on their block and
-    odd in sum at -1 are chosen first, and the rest is a product over the
-    generators.  `check_odd_orbit_reps` certifies the count."""
-    reps = _ODD_REPS.get(f)
-    if reps is None:
-        vectors = []
-        if f % 4 != 2:
-            ug = unit_group(f)
-            choices = [_primitive_orders(g % q, o, q) for g, o, q in
-                       zip(ug.generators, ug.orders, ug.blocks)]
-            for picked in itertools.product(*choices):
-                if sum(b for _, b in picked) % 2 == 0:
-                    continue
-                columns = []
-                s = 1
-                for (t, _), o in zip(picked, ug.orders):
-                    columns.append([o // t * v for v in _least_units(t, math.gcd(s, t))])
-                    s = math.lcm(s, t)
-                vectors += itertools.product(*columns)
-        reps = tuple(DirichletCharacter._reduced(f, e) for e in sorted(vectors))
-        check_odd_orbit_reps(f, reps)
-        _ODD_REPS[f] = reps
+    No character group is built.  A tuple is the least of its orbit, the
+    least (k x_i mod o_i)_i over the k prime to the character's order,
+    exactly when on each generator it is d v with t = o/d the component's
+    order and v the least unit mod t in its class mod gcd(s, t), s the lcm
+    of the earlier orders: the earlier coordinates fix k mod s.  Every
+    class prime to that gcd occurs.  The orders t that are primitive on
+    their block and odd in sum at -1 are chosen first, and the rest is a
+    product over the generators.  `check_odd_orbit_reps` certifies the
+    count."""
+    vectors = []
+    if f % 4 != 2:
+        ug = unit_group(f)
+        choices = [_primitive_orders(g % q, o, q) for g, o, q in
+                   zip(ug.generators, ug.orders, ug.blocks)]
+        for picked in itertools.product(*choices):
+            if sum(b for _, b in picked) % 2 == 0:
+                continue
+            columns = []
+            s = 1
+            for (t, _), o in zip(picked, ug.orders):
+                columns.append([o // t * v for v in _least_units(t, math.gcd(s, t))])
+                s = math.lcm(s, t)
+            vectors += itertools.product(*columns)
+    reps = tuple(DirichletCharacter._reduced(f, e) for e in sorted(vectors))
+    check_odd_orbit_reps(f, reps)
     return reps
-
-
-def cyclotomic_odd_orbit_reps(m: int) -> list[DirichletCharacter]:
-    """One representative per Galois orbit of the odd characters mod m, in
-    the order `galois_orbits` gives their orbits (by each orbit's least
-    exponent tuple mod m), each the primitive character of the orbit's
-    least primitive key: the orbits of conductor f are those of the odd
-    primitive characters mod f, for each f | m.  At f = m the key is the
-    least tuple already; below m it is lifted and taken least again."""
-    orders = unit_group(m).orders
-    keyed = [(chi.exponents, chi) for chi in odd_primitive_orbit_reps(m)]
-    for f in divisors(m)[:-1]:
-        keyed += [(orbit_min(_block_map(f, chi.exponents, m), orders), chi)
-                  for chi in odd_primitive_orbit_reps(f)]
-    keyed.sort(key=lambda pair: pair[0])
-    return [chi for _, chi in keyed]
 
 
 def encode(modulus: int, exponents) -> str:

@@ -3,24 +3,22 @@ the CM-specific attributes (maximal real subfield, roots of unity,
 conductor, prime-power decomposability, odd Galois orbits) the
 divisibility checks consume.
 
-A field is read through its characters, except Q(zeta_m) for m >= 3: its
-conductor, degree, w, 2-primary subfield and odd orbit representatives
-have closed forms on the blocks of (Z/mZ)*, and its characters are built
-only when something reads them.  The prime-power decomposition hands
+A field is read through its characters.  Q(zeta_m) for m >= 3 sets its
+conductor m, degree phi(m) and w when it is built and enumerates its
+characters only when something reads them; h- and the unit index answer
+it in closed form without them.  The prime-power decomposition hands
 back the field's own characters, grouped by block, and builds nothing.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
 from .arith import (euler_phi, factorize, kronecker,
                     require_fundamental_discriminant, subgroup, unit_group)
-from .characters import (DirichletCharacter, all_characters,
-                         cyclotomic_odd_orbit_reps, galois_orbits, orbit_rep,
-                         principal_character)
+from .characters import (DirichletCharacter, all_characters, galois_orbits,
+                         orbit_rep, principal_character)
 from .errors import (
     DegreeBoundExceeded,
     InternalInconsistency,
@@ -45,7 +43,9 @@ class AbelianField:
     containment are worked out once, on first use.  `cyclotomic_field`
     builds Q(zeta_m), m >= 3, with `_zeta` set: conductor, degree and w
     are set from m, and `chars` enumerates the character group only when
-    it is read.
+    it is read.  `hminus` and `unitindex` read `_zeta` for their closed
+    forms; here only `is_cm` and w use what is set from m, and every other
+    method reads the characters.
     """
 
     __slots__ = ("_chars", "modulus", "conductor", "degree", "_prim_keys",
@@ -121,14 +121,8 @@ class AbelianField:
         return self._zeta or bool(self._odd_chars())
 
     def odd_orbit_representatives(self) -> list[DirichletCharacter]:
-        """One character per Galois orbit of the odd characters, with the
-        orbit's least primitive key, in the order of `galois_orbits`.
-
-        For Q(zeta_m) these come from `cyclotomic_odd_orbit_reps`, as
-        primitive characters and without the character group; any other
-        field partitions its odd characters and returns members."""
-        if self._zeta:
-            return cyclotomic_odd_orbit_reps(self.modulus)
+        """One member per Galois orbit of the odd characters, with the
+        orbit's least primitive key, in the order of `galois_orbits`."""
         return [orbit_rep(orbit) for orbit in galois_orbits(self._odd_chars())]
 
     def maximal_real_subfield(self) -> "AbelianField":
@@ -191,19 +185,10 @@ class AbelianField:
     def two_primary_subfield(self) -> "AbelianField":
         """Field of the 2-Sylow subgroup of the character group; has odd
         index in the field and stays CM whenever the field is.  The field
-        itself when its degree is a power of 2.  For Q(zeta_m) the 2-Sylow
-        exponent vectors are built directly: on a generator of order o they
-        are the multiples of o's odd part."""
+        itself when its degree is a power of 2."""
         if self.degree & (self.degree - 1) == 0:
             return self
-        if self._zeta:
-            m = self.modulus
-            steps = [range(0, o, o // (o & -o)) for o in unit_group(m).orders]
-            sylow = [DirichletCharacter._reduced(m, e)
-                     for e in itertools.product(*steps)]
-        else:
-            sylow = [c for c in self.chars if (c.order & (c.order - 1)) == 0]
-        return AbelianField(sylow)
+        return AbelianField(c for c in self.chars if (c.order & (c.order - 1)) == 0)
 
     def quadratic_subfield_discriminants(self) -> list[int]:
         """Fundamental discriminants of the quadratic subfields."""

@@ -9,7 +9,8 @@ product is certified, never assumed.
 The odd characters mod m are the odd primitive characters of the
 conductors f | m, so Q(zeta_m) multiplies one memoized factor P(f) per
 conductor, the product of its orbit factors.  The per-orbit list that only
-the JSON output prints is built on request, by `orbit_factors`.
+the JSON output prints is built on request, by `orbit_factors`, from the
+field's character group.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def minus_class_number(
 def orbit_factors(K: AbelianField) -> tuple[tuple[str, Fraction], ...]:
     """One (representative encoding, norm) pair per odd orbit of K, in the
     order of `K.odd_orbit_representatives()`, each named by the encoding of
-    its representative's primitive key.  After `minus_class_number(K)`
-    every norm is a memo hit."""
+    its representative's primitive key.  Q(zeta_m) builds its character
+    group here; after `minus_class_number(K)` every norm is a memo hit."""
     return tuple((encode(*rep.primitive_key()), orbit_factor(rep))
                  for rep in K.odd_orbit_representatives())
 

@@ -15,7 +15,6 @@ from .arith import (divisors, factorize, is_fundamental_discriminant,
                     require_fundamental_discriminant, subgroup, unit_group)
 from .characters import DirichletCharacter, principal_character
 from .errors import (
-    DegreeBoundExceeded,
     EvenIndex,
     InternalInconsistency,
     NotPrimePowerConductors,
@@ -190,8 +189,6 @@ def check_metsankyla(
     q = _prime_power_conductor_prime(L2)
     if p == q:
         raise NotPrimePowerConductors("conductors share their prime")
-    if L1.degree * L2.degree > max_degree:
-        raise DegreeBoundExceeded("compositum too large")
     L = L1.compositum(L2, max_degree=max_degree)
     K1 = L1.compositum(L2.maximal_real_subfield(), max_degree=max_degree)
     K2 = L2.compositum(L1.maximal_real_subfield(), max_degree=max_degree)

@@ -11,13 +11,19 @@ and powers by adding and scaling exponents.  The one log the package takes,
 table.
 The primitive character that induces chi is `DirichletCharacter(*chi.
 primitive_key())`.
+
+`cyclotomic_odd_orbit_reps` puts the odd orbits of Q(zeta_m) in
+`galois_orbits` order from the per-conductor representatives alone, with
+the greedy orbit minimum `orbit_min`; both once ran in the package and
+are kept here as the ordering oracle.
 """
 
 import math
 from functools import lru_cache
 
-from cmfields.arith import euler_phi, unit_group
-from cmfields.characters import DirichletCharacter
+from cmfields.arith import divisors, euler_phi, unit_group
+from cmfields.characters import (DirichletCharacter, _block_map,
+                                 odd_primitive_orbit_reps)
 from cmfields.errors import InternalInconsistency
 
 
@@ -66,3 +72,56 @@ def char_mul(chi, psi):
 def char_pow(chi, k):
     """chi^k at the modulus of chi; k may be negative."""
     return DirichletCharacter(chi.modulus, [k * e for e in chi.exponents])
+
+
+def orbit_min(exponents, orders) -> tuple[int, ...]:
+    """The least exponent tuple in the Galois orbit of the character with
+    these exponents on generators of these orders: the least
+    (k x_i mod o_i)_i over the k prime to the character's order.
+
+    One coordinate at a time: with k fixed mod s by the earlier ones, k x
+    mod o runs over the d v with d = gcd(x, o) and v a unit mod t = o/d in
+    the class of k x/d mod gcd(s, t), so the least is d times the least
+    such unit.  That choice fixes k mod lcm(s, t).  A lift by `_block_map`
+    need not keep exponent order, so this is taken at the modulus wanted.
+    """
+    s, k = 1, 0
+    out = []
+    for x, o in zip(exponents, orders):
+        d = math.gcd(x, o)
+        if d == o:
+            out.append(0)
+            continue
+        t = o // d
+        if s == 1:
+            # the first nontrivial coordinate: d itself, with k = (x/d)^-1
+            k, s = pow(x // d, -1, t), t
+            out.append(d)
+            continue
+        g = math.gcd(s, t)
+        u = x // d
+        v = k * u % g or 1
+        while math.gcd(v, t) != 1:
+            v += g
+        # k' = k mod s and k' u = v mod t; both agree mod g
+        j = (v * pow(u, -1, t) - k) // g * pow(s // g, -1, t // g)
+        k += s * (j % (t // g))
+        s = s * t // g
+        out.append(d * v % o)
+    return tuple(out)
+
+
+def cyclotomic_odd_orbit_reps(m: int) -> list[DirichletCharacter]:
+    """One representative per Galois orbit of the odd characters mod m, in
+    the order `galois_orbits` gives their orbits (by each orbit's least
+    exponent tuple mod m), each the primitive character of the orbit's
+    least primitive key: the orbits of conductor f are those of the odd
+    primitive characters mod f, for each f | m.  At f = m the key is the
+    least tuple already; below m it is lifted and taken least again."""
+    orders = unit_group(m).orders
+    keyed = [(chi.exponents, chi) for chi in odd_primitive_orbit_reps(m)]
+    for f in divisors(m)[:-1]:
+        keyed += [(orbit_min(_block_map(f, chi.exponents, m), orders), chi)
+                  for chi in odd_primitive_orbit_reps(f)]
+    keyed.sort(key=lambda pair: pair[0])
+    return [chi for _, chi in keyed]

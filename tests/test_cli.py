@@ -143,10 +143,15 @@ PINNED_TABLES = [
      "333c428f5125228bff6b889bf38af1cf495398108e5810305d51171a478647be"),
     (("--max-degree", "3000", "table", "unitindex", "--zeta-range", "1..3000", "--csv"),
      "965b93b982e208c5f8cf75227e823f6fd2e35fe73079c58a5994bc2dab3683c2"),
+    # the 14 levels above 700 with phi(m) <= 256 (1020 the largest): with
+    # 1..700, every Q(zeta_m) the default degree bound admits
+    (("table", "hminus", "--zeta-range", "701..1020", "--json"),
+     "afaf100a0d4b9034ec8459e86d9989c527756e8a849f2650220f8fac527563cc"),
 ]
 
 
-@pytest.mark.parametrize("argv, sha256", PINNED_TABLES, ids=["hminus-json", "unitindex-csv"])
+@pytest.mark.parametrize("argv, sha256", PINNED_TABLES,
+                         ids=["hminus-json", "unitindex-csv", "hminus-json-701"])
 def test_cyclotomic_tables_are_byte_identical(capsys, argv, sha256):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -294,6 +299,7 @@ def test_error_exit_code(capsys):
     "verify martinet 17 --max 0",
     "verify masley 3 5 --max 7",
     "--max-degree 4 verify metsankyla 5 7",
+    "--max-degree 23 verify metsankyla 5 7",
     "--max-degree 4 verify masley 5 3",
     "--max-degree 1 hminus --field quad:-3",
     "--max-degree -1 hminus --field quad:-3",
@@ -321,6 +327,14 @@ def test_malformed_input_exits_2(capsys, argv):
     assert code == 2
     assert err.strip() and "Traceback" not in err
     assert out == ""
+
+
+def test_metsankyla_compositum_bound_is_the_closure_bound(capsys):
+    # degrees 4 and 6: the compositum of degree 24 is refused by its closure
+    code, out, err = run(capsys, "--max-degree", "23", "verify", "metsankyla", "5", "7")
+    assert (code, out, err) == (2, "", "error: degree exceeds bound 23\n")
+    code, out, _ = run(capsys, "--max-degree", "24", "verify", "metsankyla", "5", "7")
+    assert code == 0 and out.startswith("[pass] metsankyla")
 
 
 def test_max_degree_flag(capsys):

@@ -1,6 +1,8 @@
 """Q(zeta_m) without its character group: the closed-form odd orbit
-representatives, the exact orbit minimum, and the lazily built field, each
-against the generic path it stands in for.
+representatives per conductor, the product of their factors, and the
+lazily built field, each against the generic path it stands in for; and
+the ordering oracle in `charoracle` (`orbit_min`,
+`cyclotomic_odd_orbit_reps`) against brute force and `galois_orbits`.
 
 The generic path is `AbelianField(all_characters(m))`: it enumerates the
 character group, partitions the odd characters with `galois_orbits`, and
@@ -16,11 +18,12 @@ import pytest
 from cmfields import characters, fields, hminus
 from cmfields.arith import divisors, euler_phi, unit_group
 from cmfields.characters import (_block_map, all_characters, check_odd_orbit_reps,
-                                 cyclotomic_odd_orbit_reps, galois_orbits,
-                                 odd_primitive_orbit_reps, orbit_min, orbit_rep)
+                                 galois_orbits, odd_primitive_orbit_reps, orbit_rep)
 from cmfields.errors import InternalInconsistency, NonIntegralResult
 from cmfields.fields import AbelianField, cyclotomic_field
 from cmfields.hminus import minus_class_number, orbit_factors
+
+from charoracle import cyclotomic_odd_orbit_reps, orbit_min
 
 LEVELS = [m for m in range(3, 201) if m % 4 != 2]
 
@@ -82,7 +85,7 @@ def test_cyclotomic_reps_follow_galois_orbit_order():
 
 def _report(K):
     report = minus_class_number(K)
-    return report.q, report.w, report.rule, orbit_factors(K), report.h_minus
+    return report.q, report.w, report.rule, report.h_minus
 
 
 def test_minus_class_number_matches_the_character_group():
@@ -91,8 +94,10 @@ def test_minus_class_number_matches_the_character_group():
             continue
         lazy = cyclotomic_field(m, max_degree=400)
         eager = AbelianField(all_characters(m))
-        assert _report(lazy) == _report(eager), m
+        got = _report(lazy)
         assert lazy._chars is None, m  # h- read no character group
+        assert got == _report(eager), m
+        assert orbit_factors(lazy) == orbit_factors(eager), m
 
 
 def test_conductor_product_matches_the_orbit_walk(monkeypatch):
@@ -112,9 +117,9 @@ def test_conductor_product_matches_the_orbit_walk(monkeypatch):
     for m in levels:
         K = cyclotomic_field(m)
         report = minus_class_number(K)
+        assert K._chars is None, m
         assert (report.q, report.w, report.rule, report.h_minus) == walked[m][0], m
         assert orbit_factors(K) == walked[m][1], m
-        assert K._chars is None, m
         for f in divisors(m):
             by_walk = math.prod((norm for name, norm in walked[m][1]
                                  if name.startswith(f"f={f}:")), start=Fraction(1))
@@ -130,7 +135,6 @@ def test_count_check_guards_the_conductor_product(monkeypatch):
         units = least_units(t, g)
         return units[:-1] if len(units) > 1 else units
 
-    monkeypatch.setattr(characters, "_ODD_REPS", {})
     monkeypatch.setattr(characters, "_least_units", lossy)
     monkeypatch.setattr(hminus, "_CONDUCTOR_FACTORS", {})
     with pytest.raises(InternalInconsistency, match="orbit representatives mod 91"):
@@ -169,8 +173,6 @@ def test_lazy_field_sets_its_invariants_without_characters():
         assert (K.modulus, K.conductor, K.degree) == (m, m, euler_phi(m))
         assert K.roots_of_unity_order() == (m if m % 2 == 0 else 2 * m)
         assert K.is_cm()
-        K.two_primary_subfield()
-        K.odd_orbit_representatives()
         assert K._chars is None and K._prim_keys is None, m
     # Q(zeta_1) = Q(zeta_2) = Q keeps the eager path and is not CM
     for m in (1, 2):
@@ -208,23 +210,10 @@ def test_count_check_guards_the_enumeration(monkeypatch):
         units = least_units(t, g)
         return units[:-1] if len(units) > 1 else units
 
-    monkeypatch.setattr(characters, "_ODD_REPS", {})
     monkeypatch.setattr(characters, "_least_units", lossy)
     with pytest.raises(InternalInconsistency):
         # mod 91 = 7 * 13, orders 3 and 12 leave two unit classes mod 3
         odd_primitive_orbit_reps(91)
-
-
-def test_reps_are_shared_per_conductor(monkeypatch):
-    monkeypatch.setattr(characters, "_ODD_REPS", {})
-    first = cyclotomic_odd_orbit_reps(60)
-    assert set(characters._ODD_REPS) == set(divisors(60))
-    at_60 = dict(characters._ODD_REPS)
-    again = cyclotomic_odd_orbit_reps(60)
-    assert all(a is b for a, b in zip(again, first))
-    cyclotomic_odd_orbit_reps(120)
-    assert set(characters._ODD_REPS) == set(divisors(120))
-    assert all(characters._ODD_REPS[f] is reps for f, reps in at_60.items())
 
 
 def test_table_builds_no_character_group(monkeypatch, capsys):
