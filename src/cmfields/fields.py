@@ -6,8 +6,11 @@ divisibility checks consume.
 A field is read through its characters.  Q(zeta_m) for m >= 3 sets its
 conductor m, degree phi(m) and w when it is built and enumerates its
 characters only when something reads them; h- and the unit index answer
-it in closed form without them.  The prime-power decomposition hands
-back the field's own characters, grouped by block, and builds nothing.
+it in closed form without them.  The compositum of two fields of coprime
+conductors is their direct product: its characters, their primitive keys
+and w are composed from the factors', with no closure.  The prime-power
+decomposition hands back the field's own characters, grouped by block,
+and builds nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ class AbelianField:
     are set from m, and `chars` enumerates the character group only when
     it is read.  `hminus` and `unitindex` read `_zeta` for their closed
     forms; here only `is_cm` and w use what is set from m, and every other
-    method reads the characters.
+    method reads the characters.  `compositum` of coprime conductors
+    builds the direct product with its characters, primitive keys and w
+    preset.
     """
 
     __slots__ = ("_chars", "modulus", "conductor", "degree", "_prim_keys",
@@ -77,6 +82,56 @@ class AbelianField:
         K.degree = euler_phi(m)
         K._w = m if m % 2 == 0 else 2 * m
         K._zeta = True
+        return K
+
+    @classmethod
+    def _direct_product(cls, K1: "AbelianField", K2: "AbelianField",
+                        max_degree: int) -> "AbelianField":
+        """K1 K2 for coprime conductors f1, f2, at modulus f1 f2, with no
+        closure.
+
+        Each factor's characters are taken at its conductor.  The blocks
+        of (Z/f1 f2 Z)* are those of f1 and of f2, in increasing prime
+        order, and each generator is the CRT lift of the same local
+        generator as at f1 or f2.  So chi1 chi2 has chi1's exponents on
+        the blocks of f1 and chi2's on those of f2, its order is the lcm
+        of theirs, its conductor their product and its parity the product
+        of theirs; its primitive key merges the two keys the same way.  A
+        character of K1 K2 of conductor p^j has a trivial factor on the
+        side p does not divide, so Q(zeta_(p^j)) lies in K1 K2 exactly
+        when it lies in one factor: w = lcm(w1, w2).  Raises
+        InternalInconsistency unless the d1 d2 products have distinct
+        primitive keys."""
+        degree = K1.degree * K2.degree
+        if degree > max_degree:
+            raise DegreeBoundExceeded(f"degree exceeds bound {max_degree}")
+        f1, f2 = K1.conductor, K2.conductor
+        m = f1 * f2
+        left = [(c.at_modulus(f1), c.primitive_key()) for c in K1.chars]
+        right = [(c.at_modulus(f2), c.primitive_key()) for c in K2.chars]
+        chars = []
+        for a, (fa, ka) in left:
+            for b, (fb, kb) in right:
+                chi = DirichletCharacter.__new__(DirichletCharacter)
+                chi.modulus = m
+                chi.exponents = _merge(m, f1, a.exponents + b.exponents)
+                chi.order = math.lcm(a.order, b.order)
+                chi._conductor = fa * fb
+                chi._parity = a._parity * b._parity
+                chi._key = (fa * fb, _merge(fa * fb, fa, ka + kb))
+                chars.append(chi)
+        K = cls.__new__(cls)
+        K._chars = tuple(sorted(chars, key=lambda c: c.exponents))
+        K._prim_keys = frozenset(c._key for c in chars)
+        if len(K._prim_keys) != degree:
+            raise InternalInconsistency(
+                f"direct product of conductors {f1} and {f2} has "
+                f"{len(K._prim_keys)} distinct characters, not {degree}")
+        K.modulus = K.conductor = m
+        K.degree = degree
+        K._odd = None
+        K._w = math.lcm(K1.roots_of_unity_order(), K2.roots_of_unity_order())
+        K._zeta = False
         return K
 
     @property
@@ -155,8 +210,16 @@ class AbelianField:
     def compositum(
         self, other: "AbelianField", max_degree: int = DEFAULT_MAX_DEGREE
     ) -> "AbelianField":
-        """The smallest field holding both; the principal characters add
-        nothing to the closure and are not passed on."""
+        """The smallest field holding both, at the lcm of the conductors.
+
+        With coprime conductors it is the direct product of the two fields
+        (`_direct_product`), with no closure.  Otherwise the non-principal
+        characters of both are closed by `field_from_generators`; the
+        principal ones add nothing and are not passed on.  Either way a
+        degree past max_degree raises DegreeBoundExceeded("degree exceeds
+        bound B")."""
+        if math.gcd(self.conductor, other.conductor) == 1:
+            return AbelianField._direct_product(self, other, max_degree)
         gens = [c for c in self.chars + other.chars if not c.is_principal()]
         return field_from_generators(gens or self.chars[:1],
                                      max_degree=max_degree)
@@ -198,6 +261,31 @@ class AbelianField:
                 f = c.conductor()
                 out.append(f if c.parity() == 1 else -f)
         return sorted(out, key=abs)
+
+
+@lru_cache(maxsize=None)
+def _merge_order(m: int, f: int) -> tuple[int, ...]:
+    """For m = f g with gcd(f, g) = 1: the index into e + e' of the
+    exponent on each generator of (Z/mZ)*, where e is on the generators of
+    (Z/fZ)* and e' on those of (Z/gZ)*.  Both lists, like the one at m,
+    run over their blocks in increasing prime order."""
+    blocks = unit_group(m).blocks
+    i, j = 0, sum(f % q == 0 for q in blocks)
+    order = []
+    for q in blocks:
+        if f % q == 0:
+            order.append(i)
+            i += 1
+        else:
+            order.append(j)
+            j += 1
+    return tuple(order)
+
+
+def _merge(m: int, f: int, exps: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponents at m of the product of a character at f and one at
+    m / f (coprime to f), from their exponent tuples concatenated."""
+    return tuple(map(exps.__getitem__, _merge_order(m, f)))
 
 
 def field_from_generators(

@@ -136,17 +136,20 @@ def minus_class_number(
 ) -> MinusReport:
     """Exact h-(K) for a CM abelian field.  Q(zeta_m) multiplies P(f) over
     the conductors f | m; any other field multiplies the factors of the
-    orbits of `K.odd_orbit_representatives()`.  `hasse_unit_index` raises
-    NotCMField for a field that is not CM."""
+    orbits of `K.odd_orbit_representatives()`.  The numerators and the
+    denominators are multiplied as ints, and reduced once.
+    `hasse_unit_index` raises NotCMField for a field that is not CM."""
     verdict: UnitIndexVerdict = hasse_unit_index(K, override=q_override)
     w = K.roots_of_unity_order()
-    total = Fraction(verdict.q * w)
     if K._zeta:
-        for f in divisors(K.modulus):
-            total *= _conductor_factor(f)
+        factors = [_conductor_factor(f) for f in divisors(K.modulus)]
     else:
-        for rep in K.odd_orbit_representatives():
-            total *= orbit_factor(rep)
+        factors = [orbit_factor(rep) for rep in K.odd_orbit_representatives()]
+    num, den = verdict.q * w, 1
+    for x in factors:
+        num *= x.numerator
+        den *= x.denominator
+    total = Fraction(num, den)
     if total.denominator != 1 or total <= 0:
         raise NonIntegralResult(
             f"h-(K) = {total} is not a positive integer for {K!r}"

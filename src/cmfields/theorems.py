@@ -120,15 +120,10 @@ def check_v4(d1: int, d2: int, max_degree: int = DEFAULT_MAX_DEGREE) -> CheckRep
     if L.degree != 4:
         raise InternalInconsistency(f"Q(sqrt {d1}, sqrt {d2}) has degree {L.degree}")
     report = minus_class_number(L)
-    lhs = Fraction(report.h_minus)
     h1 = class_number(d1)
     h2 = class_number(d2)
-    rhs = (
-        Fraction(report.q, 1)
-        * Fraction(report.w, K1.roots_of_unity_order() * K2.roots_of_unity_order())
-        * h1
-        * h2
-    )
+    rhs = Fraction(report.q * report.w * h1 * h2,
+                   K1.roots_of_unity_order() * K2.roots_of_unity_order())
     return CheckReport(
         name="v4_identity",
         inputs={"d1": d1, "d2": d2},
@@ -140,7 +135,7 @@ def check_v4(d1: int, d2: int, max_degree: int = DEFAULT_MAX_DEGREE) -> CheckRep
             "h2": h2,
             "rhs": rhs,
         },
-        verdict=lhs == rhs,
+        verdict=rhs == report.h_minus,
         statement="biquadratic minus class number identity",
     )
 

@@ -158,6 +158,27 @@ def test_cyclotomic_tables_are_byte_identical(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# every caller of `AbelianField.compositum`: the sweeps' full JSON reports
+PINNED_SWEEPS = [
+    (("verify", "v4", "--sweep", "--max", "2000", "--json"),
+     "dc2ba8fe6bbca07f1e83949e24155ac4d42ce65c75b4042a87d149bc8342c9f4"),
+    (("verify", "metsankyla", "--sweep", "--max", "32", "--json"),
+     "f5b3f6bd9704df1267f4c599aa036d1028cf564da73ee7c40c46286ac6e79967"),
+    (("verify", "counterexample", "--sweep", "--json"),
+     "b05e7702def7511a8e85564ce5961fa895eefa0123f75e36fe1170e86d85e646"),
+    (("verify", "martinet", "--sweep", "--max", "1000", "--json"),
+     "384447ea614f4d77574ef9b9cd0360cd3b4337ffb66e64d84a6aa5f68454efe9"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", PINNED_SWEEPS,
+                         ids=["v4", "metsankyla", "counterexample", "martinet"])
+def test_sweep_reports_are_byte_identical(capsys, argv, sha256):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_table_threads_option_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "hminus", "--zeta-range", "3..16", "--threads", "2"])
@@ -330,11 +351,19 @@ def test_malformed_input_exits_2(capsys, argv):
 
 
 def test_metsankyla_compositum_bound_is_the_closure_bound(capsys):
-    # degrees 4 and 6: the compositum of degree 24 is refused by its closure
+    # degrees 4 and 6: the compositum of degree 24 is refused at the bound
+    # and with the message of its closure
     code, out, err = run(capsys, "--max-degree", "23", "verify", "metsankyla", "5", "7")
     assert (code, out, err) == (2, "", "error: degree exceeds bound 23\n")
     code, out, _ = run(capsys, "--max-degree", "24", "verify", "metsankyla", "5", "7")
     assert code == 0 and out.startswith("[pass] metsankyla")
+
+
+def test_v4_compositum_bound_is_the_closure_bound(capsys):
+    code, out, err = run(capsys, "--max-degree", "3", "verify", "v4", "-3", "-4")
+    assert (code, out, err) == (2, "", "error: degree exceeds bound 3\n")
+    code, out, _ = run(capsys, "--max-degree", "4", "verify", "v4", "-3", "-4")
+    assert code == 0 and out.startswith("[pass] v4_identity")
 
 
 def test_max_degree_flag(capsys):

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from cmfields.cli import main
 from cmfields.errors import CMFieldsError
 from cmfields.fieldspec import parse_field_spec
+from compositum_sweep import closure
 
 FUZZ = settings(max_examples=50, deadline=None)
 
@@ -113,6 +114,33 @@ def test_field_specs_parse_or_raise_typed_errors(text, max_degree):
     except CMFieldsError:
         return
     assert field.degree <= max_degree
+
+
+def _outcome(build):
+    """The field's identity and invariants, or the error's type and text."""
+    try:
+        K = build()
+    except CMFieldsError as exc:
+        return type(exc), str(exc)
+    return (K, hash(K), K.modulus, K.conductor, K.degree,
+            [c.encode() for c in K.chars], K.roots_of_unity_order())
+
+
+# two of three atom pairs fail on their own, so more examples are drawn
+@settings(max_examples=200, deadline=None)
+@given(_atom, _atom, st.integers(min_value=1, max_value=48))
+def test_compositum_spec_matches_the_closure(left, right, max_degree):
+    """`a*b` builds the closure of the two built fields' non-principal
+    characters, or fails with the closure's error and message: the direct
+    product of coprime conductors and its degree check change nothing."""
+    try:
+        K1 = parse_field_spec(left).build(max_degree=max_degree)
+        K2 = parse_field_spec(right).build(max_degree=max_degree)
+    except CMFieldsError:
+        return
+    spec = parse_field_spec(f"{left}*{right}")
+    assert (_outcome(lambda: spec.build(max_degree=max_degree))
+            == _outcome(lambda: closure(K1, K2, max_degree))), (left, right)
 
 
 @FUZZ

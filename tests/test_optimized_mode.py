@@ -2,8 +2,9 @@
 result may depend on an assert in the package, the records still check
 their fields when they are built, and the norm kernel's checks, the
 orbit-representative count check, the integrality check on h-, the
-`UnitIndexVerdict` check on the unit index of Q(zeta_m) in closed form and
-the `QuadIdeal` check that certifies each ideal square root still fire."""
+`UnitIndexVerdict` check on the unit index of Q(zeta_m) in closed form,
+the `QuadIdeal` check that certifies each ideal square root and the
+primitive-key count check on a direct-product compositum still fire."""
 
 import os
 import subprocess
@@ -18,6 +19,7 @@ def test_acceptance_suite_under_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(ROOT / "tests" / "test_acceptance.py"),
+         str(ROOT / "tests" / "test_compositum.py"),
          str(ROOT / "tests" / "test_records.py"),
          str(ROOT / "tests" / "test_norm_descent.py"),
          str(ROOT / "tests" / "test_orbit_reps.py"),
