@@ -9,7 +9,10 @@ reduction).
 A decomposable field is decided by how many of its prime-power
 components are imaginary, read off the field's own characters (a
 component is imaginary when one of its characters is odd); a
-biquadratic one by principality in its real quadratic subfield.
+biquadratic one, of degree 4 and exponent 2, by principality in its real
+quadratic subfield.  A direct product answers the 2-primary subfield,
+the decomposition, the exponent, the quadratic subfields and w from its
+two factors, and builds no character for the cascade.
 Fields outside the supported classes raise UnsupportedField; callers may
 re-invoke with an explicit override.
 """
@@ -108,7 +111,7 @@ def hasse_unit_index(
             return UnitIndexVerdict(1, 1, RULE_ONE_IMAGINARY)
         return UnitIndexVerdict(2, 1, RULE_TWO_IMAGINARY)
 
-    if K.degree == 4 and all(c.order <= 2 for c in K.chars):
+    if K.degree == 4 and K.exponent() <= 2:
         return _biquadratic_verdict(K)
 
     raise UnsupportedField(
@@ -147,7 +150,7 @@ def biquadratic_verdict(K: AbelianField) -> UnitIndexVerdict:
     Exposed so decomposable biquadratic fields can be cross-checked
     against the cascade verdict (both routes must agree on Q)."""
     require_cm(K)
-    if K.degree != 4 or any(c.order > 2 for c in K.chars):
+    if K.degree != 4 or K.exponent() > 2:
         raise PreconditionViolated(f"{K!r} is not biquadratic")
     return _biquadratic_verdict(K)
 

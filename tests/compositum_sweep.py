@@ -4,15 +4,19 @@ closure it replaces.
     PYTHONPATH=src python tests/compositum_sweep.py [MAX_DISC [MAX_DEGREE]]
 
 `AbelianField.compositum` builds K1 K2 for coprime conductors as a
-direct product, with no closure.  The oracle is `field_from_generators`
-on the non-principal characters of both fields, the path every other
-compositum takes.  `differences` compares the two builds attribute by
-attribute; the script runs it on every coprime pair of fundamental
-discriminants of either sign with |d1 d2| <= MAX_DISC (default 20000) and
-on Q(zeta_a) Q(zeta_b) for coprime canonical levels a != b with
-phi(a) phi(b) <= MAX_DEGREE (default 256), each in both argument orders.
-It prints each mismatch and exits 1 if there is one.
-`tests/test_compositum.py` runs the same comparison on smaller ranges.
+direct product, with no closure, and builds its characters only when they
+are read.  The oracle is `field_from_generators` on the non-principal
+characters of both fields, the path every other compositum takes.
+`differences` compares the two builds attribute by attribute: first what
+h- and the unit index read off the factors, on the fresh product, which
+must build no character for it; then the characters themselves.  The
+script runs it on every coprime pair of fundamental discriminants of
+either sign with |d1 d2| <= MAX_DISC (default 20000) and on
+Q(zeta_a) Q(zeta_b) for coprime canonical levels a != b with
+phi(a) phi(b) <= MAX_DEGREE (default 256), each in both argument orders,
+and on every compositum `sweep_metsankyla` checks.  It prints each
+mismatch and exits 1 if there is one.  `tests/test_compositum.py` runs
+the same comparison on smaller ranges.
 """
 
 from __future__ import annotations
@@ -20,9 +24,14 @@ from __future__ import annotations
 import math
 import sys
 
+from cmfields import theorems
 from cmfields.arith import euler_phi, is_fundamental_discriminant
+from cmfields.characters import encode
+from cmfields.errors import CMFieldsError
 from cmfields.fields import (AbelianField, cyclotomic_field,
                              field_from_generators, quadratic_field)
+from cmfields.hminus import minus_class_number
+from cmfields.unitindex import hasse_unit_index
 
 
 def closure(K1: AbelianField, K2: AbelianField, max_degree: int) -> AbelianField:
@@ -36,6 +45,33 @@ def _character(c) -> tuple:
             c.primitive_key())
 
 
+def _outcome(call):
+    """call()'s value, or the type and text of the error it raises."""
+    try:
+        return call()
+    except CMFieldsError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _factor_answers(K: AbelianField) -> dict:
+    """What h- and the unit index read: a direct product reads them off
+    its factors."""
+    comps = K.prime_power_decomposition()
+    cm = K.is_cm()
+    return {
+        "odd orbits": [encode(*rep.primitive_key())
+                       for rep in K.odd_orbit_representatives()],
+        "decomposition": None if comps is None else
+        [{c.primitive_key() for c in comp} for comp in comps],
+        "discriminants": K.quadratic_subfield_discriminants(),
+        "exponent": K.exponent(),
+        "cm": cm,
+        "w": K.roots_of_unity_order(),
+        "unit index": _outcome(lambda: tuple(hasse_unit_index(K))),
+        "h-": _outcome(lambda: minus_class_number(K).h_minus) if cm else None,
+    }
+
+
 def _invariants(K: AbelianField) -> dict:
     return {
         "modulus": K.modulus,
@@ -43,21 +79,29 @@ def _invariants(K: AbelianField) -> dict:
         "degree": K.degree,
         "hash": hash(K),
         "chars": [_character(c) for c in K.chars],
-        "w": K.roots_of_unity_order(),
         "odd": [c.encode() for c in K.odd_characters()],
     }
 
 
-def differences(K1: AbelianField, K2: AbelianField, max_degree: int = 256,
-                product=AbelianField._direct_product) -> list[str]:
-    """The attributes on which product(K1, K2, max_degree) and the
-    closure differ, with "==" when they are not equal fields."""
-    new = product(K1, K2, max_degree)
+def differences(K1: AbelianField, K2: AbelianField,
+                max_degree: int = 256) -> list[str]:
+    """The attributes on which the direct product of K1 and K2 and the
+    closure differ; "built" when the product's answers to h- and the unit
+    index read its characters, "==" when the two are not equal fields, and
+    "2-primary" when their 2-primary subfields are not."""
+    new = AbelianField._direct_product(K1, K2, max_degree)
     old = closure(K1, K2, max_degree)
-    got, want = _invariants(new), _invariants(old)
+    got, want = _factor_answers(new), _factor_answers(old)
     out = [name for name in want if got[name] != want[name]]
+    two = new.two_primary_subfield()
+    if new._chars is not None or new._prim_keys is not None:
+        out.append("built")
+    got, want = _invariants(new), _invariants(old)
+    out += [name for name in want if got[name] != want[name]]
     if new != old:
         out.append("==")
+    if two != old.two_primary_subfield():
+        out.append("2-primary")
     return out
 
 
@@ -82,6 +126,21 @@ def cyclotomic_pairs(max_degree: int) -> list[tuple[int, int]]:
             and euler_phi(a) * euler_phi(b) <= max_degree]
 
 
+def metsankyla_pairs() -> list[tuple[AbelianField, AbelianField]]:
+    """(L1, L2), (L1, L2+) and (L2, L1+) for every pair that
+    `sweep_metsankyla` checks at its default bound."""
+    pairs = []
+    check = theorems.check_metsankyla
+    theorems.check_metsankyla = lambda l1, l2, max_degree: pairs.append((l1, l2))
+    try:
+        theorems.sweep_metsankyla()
+    finally:
+        theorems.check_metsankyla = check
+    return [(K1, K2) for l1, l2 in pairs for K1, K2 in
+            ((l1, l2), (l1, l2.maximal_real_subfield()),
+             (l2, l1.maximal_real_subfield()))]
+
+
 def main(argv: list[str]) -> int:
     top = int(argv[0]) if argv else 20000
     max_degree = int(argv[1]) if len(argv) > 1 else 256
@@ -90,6 +149,8 @@ def main(argv: list[str]) -> int:
     cases += [(f"zeta:{a}*zeta:{b}", cyclotomic_field(a, max_degree),
                cyclotomic_field(b, max_degree))
               for a, b in cyclotomic_pairs(max_degree)]
+    cases += [(f"{K1!r}*{K2!r}", K1, K2) for K1, K2 in metsankyla_pairs()
+              if K1.degree * K2.degree <= max_degree]
     bad = 0
     for name, K1, K2 in cases:
         diff = differences(K1, K2, max_degree)

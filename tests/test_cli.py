@@ -179,6 +179,31 @@ def test_sweep_reports_are_byte_identical(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# composita of coprime conductors, whose h-, unit index and --json orbit
+# list are read off the two factors: stdout as printed when each product
+# built its characters and walked their orbits
+PRODUCT_SPECS = [
+    arg for spec in ("quad:-3*quad:-4", "zeta:5*quad:-4", "zeta:7*zeta:5",
+                     "chars:f=7:e=1*chars:f=9:e=1", "chars:f=7:e=2*zeta:5",
+                     "zeta:16*zeta:9", "chars:f=15:e=0,1*quad:-4",
+                     "quad:5*quad:-7")
+    for arg in ("--spec", spec)]
+PINNED_PRODUCTS = [
+    (("table", "hminus", *PRODUCT_SPECS, "--json"),
+     "6c9851cbb23f02424cfac0ed43c6c08e479191ac11403b8d3d0421f3814585e3"),
+    (("table", "unitindex", *PRODUCT_SPECS, "--csv"),
+     "126275c3a7b1a821d8d9c1b37f1ff5109bd1c23bfa3a1f24d873e6d3f72a2e38"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", PINNED_PRODUCTS,
+                         ids=["hminus-json", "unitindex-csv"])
+def test_product_tables_are_byte_identical(capsys, argv, sha256):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_table_threads_option_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "hminus", "--zeta-range", "3..16", "--threads", "2"])

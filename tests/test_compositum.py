@@ -12,7 +12,8 @@ from cmfields import fields, theorems
 from cmfields.characters import all_characters, principal_character
 from cmfields.errors import DegreeBoundExceeded, InternalInconsistency
 from cmfields.fields import AbelianField, cyclotomic_field, quadratic_field
-from compositum_sweep import closure, differences, discriminant_pairs
+from compositum_sweep import (closure, differences, discriminant_pairs,
+                              metsankyla_pairs)
 
 RATIONALS = AbelianField([principal_character(1)])
 # the 2-primary subfield of Q(zeta_9) is Q(sqrt -3) at modulus 9
@@ -24,18 +25,6 @@ def _v4_pairs():
     argument orders."""
     return [(quadratic_field(d1), quadratic_field(d2))
             for d1, d2 in discriminant_pairs(2000) if d1 < 0 and d2 < 0]
-
-
-def _metsankyla_triples(monkeypatch):
-    """(L1, L2), (L1, L2+) and (L2, L1+) for every pair that
-    `sweep_metsankyla` checks at its default bound."""
-    pairs = []
-    monkeypatch.setattr(theorems, "check_metsankyla",
-                        lambda l1, l2, max_degree: pairs.append((l1, l2)))
-    theorems.sweep_metsankyla()
-    return pairs, [(K1, K2) for l1, l2 in pairs for K1, K2 in
-                   ((l1, l2), (l1, l2.maximal_real_subfield()),
-                    (l2, l1.maximal_real_subfield()))]
 
 
 def _mixed_pairs():
@@ -66,9 +55,9 @@ def test_every_v4_pair_matches_the_closure():
         assert differences(K1, K2) == [], (K1.conductor, K2.conductor)
 
 
-def test_every_metsankyla_compositum_matches_the_closure(monkeypatch):
-    pairs, composita = _metsankyla_triples(monkeypatch)
-    assert len(pairs) == 231 and len(composita) == 693
+def test_every_metsankyla_compositum_matches_the_closure():
+    composita = metsankyla_pairs()
+    assert len(composita) == 3 * 231
     for K1, K2 in composita:
         assert differences(K1, K2) == [], (K1, K2)
 
@@ -111,6 +100,17 @@ def test_compositum_closes_only_where_a_prime_is_shared(monkeypatch):
     assert closed == [fields.DEFAULT_MAX_DEGREE, 5]
 
 
+def test_v4_sweep_builds_no_product_characters(monkeypatch):
+    """h-, w and the unit index of every V4 field are read off its two
+    quadratic factors: the sweep passes with the build refused."""
+    def refuse(self):
+        raise AssertionError(f"{self!r} built its characters")
+
+    monkeypatch.setattr(AbelianField, "_build_product", refuse)
+    reports = theorems.sweep_v4()
+    assert len(reports) == 536 and all(r.verdict for r in reports)
+
+
 @pytest.mark.parametrize("K1, K2", [
     (quadratic_field(-3), quadratic_field(-4)),
     (cyclotomic_field(5), quadratic_field(-3)),
@@ -127,31 +127,48 @@ def test_degree_bound_is_the_closure_bound(K1, K2):
     assert K1.compositum(K2, d).degree == d
 
 
-# (exact snippet of `AbelianField._direct_product`, committed mutant)
+# (function, exact snippet, replacement): committed mutants of the direct
+# product, of its characters built on read and of its answers read off
+# the factors
 _EXPONENTS = "_merge(m, f1, a.exponents + b.exponents)"
 _W = "math.lcm(K1.roots_of_unity_order(), K2.roots_of_unity_order())"
-_KEY = "chi._key = (fa * fb, _merge(fa * fb, fa, ka + kb))"
+_KEY = "(fa * fb, _merge(fa * fb, fa, ka + kb))"
 DIRECT_PRODUCT_MUTANTS = {
-    "block sides swapped": (_EXPONENTS, "_merge(m, f1, b.exponents + a.exponents)"),
-    "w = w1 w2": (_W, "K1.roots_of_unity_order() * K2.roots_of_unity_order()"),
-    "one factor's exponents dropped": (_KEY, "chi._key = (fa, ka)"),
+    "block sides swapped": (
+        "_build_product", _EXPONENTS, "_merge(m, f1, b.exponents + a.exponents)"),
+    "w = w1 w2": (
+        "_direct_product", _W,
+        "K1.roots_of_unity_order() * K2.roots_of_unity_order()"),
+    "one factor's exponents dropped": ("_build_product", _KEY, "(fa, ka)"),
+    "k over all of (Z/n2)*": (
+        "_composed_orbits", "_least_units(n2, math.gcd(n1, n2))",
+        "_least_units(n2, n2)"),
+    "parity condition dropped": (
+        "_product_odd_reps", "if x1._parity == x2._parity:", "if False:"),
+    "decomposition built when a factor's is None": (
+        "_product_components",
+        "parts = [K._decomposition() for K in self._factors]",
+        "parts = [K._decomposition() or () for K in self._factors]"),
 }
 
 
-def _mutated_product(snippet, replacement):
-    source = textwrap.dedent(inspect.getsource(AbelianField._direct_product))
+def _mutate(monkeypatch, name, snippet, replacement):
+    """Replace `name`, a method of AbelianField or a function of `fields`,
+    by its source with `snippet` replaced, for the rest of the test."""
+    owner = AbelianField if name in vars(AbelianField) else fields
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(snippet) == 1
     namespace = dict(vars(fields))
     exec(source.replace(snippet, replacement), namespace)
-    return namespace["_direct_product"].__get__(None, AbelianField)
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
-def _killed(product):
-    """Whether the oracle finds a difference, or the key-count check
-    fires, on some V4 pair."""
-    for K1, K2 in _v4_pairs():
+def _killed():
+    """Whether the oracle finds a difference, or a certificate fires, on
+    some V4 pair or mixed compositum."""
+    for K1, K2 in _v4_pairs() + _mixed_pairs():
         try:
-            if differences(K1, K2, product=product):
+            if differences(K1, K2):
                 return True
         except InternalInconsistency:
             return True
@@ -159,18 +176,37 @@ def _killed(product):
 
 
 @pytest.mark.parametrize("name", DIRECT_PRODUCT_MUTANTS)
-def test_the_closure_oracle_kills_direct_product_mutants(name):
-    assert _killed(_mutated_product(*DIRECT_PRODUCT_MUTANTS[name]))
+def test_the_closure_oracle_kills_direct_product_mutants(monkeypatch, name):
+    _mutate(monkeypatch, *DIRECT_PRODUCT_MUTANTS[name])
+    assert _killed()
 
 
-def test_the_unmutated_product_is_not_killed():
-    assert not _killed(_mutated_product(_KEY, _KEY))
+def test_the_unmutated_product_is_not_killed(monkeypatch):
+    # each mutated function once, from its own source
+    for function, snippet, _ in dict((m[0], m) for m in
+                                     DIRECT_PRODUCT_MUTANTS.values()).values():
+        _mutate(monkeypatch, function, snippet, snippet)
+    assert not _killed()
 
 
-def test_direct_product_certifies_its_keys():
-    """A product whose keys collide is refused by the set-size check,
-    which holds under `python -O` too."""
-    mutant = _mutated_product(*DIRECT_PRODUCT_MUTANTS["one factor's exponents dropped"])
+def test_direct_product_certifies_its_keys(monkeypatch):
+    """A product whose keys collide is refused by the set-size check when
+    its characters are first read, which holds under `python -O` too."""
+    _mutate(monkeypatch, *DIRECT_PRODUCT_MUTANTS["one factor's exponents dropped"])
+    K = quadratic_field(-3).compositum(quadratic_field(-4))
     with pytest.raises(InternalInconsistency,
                        match="conductors 3 and 4 has 2 distinct characters, not 4"):
-        mutant(quadratic_field(-3), quadratic_field(-4), 4)
+        K.chars
+
+
+@pytest.mark.parametrize("name, factors", [
+    ("k over all of (Z/n2)*", (quadratic_field(-4), cyclotomic_field(7))),
+    ("parity condition dropped", (quadratic_field(-3), quadratic_field(-4))),
+])
+def test_direct_product_certifies_its_odd_orbits(monkeypatch, name, factors):
+    """Orbits counted twice or of the wrong parity are refused by the
+    count of the odd characters they cover."""
+    _mutate(monkeypatch, *DIRECT_PRODUCT_MUTANTS[name])
+    K = factors[0].compositum(factors[1])
+    with pytest.raises(InternalInconsistency, match="odd orbits of the product"):
+        K.odd_orbit_representatives()

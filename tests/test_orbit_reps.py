@@ -230,8 +230,11 @@ def test_table_builds_no_character_group(monkeypatch, capsys):
     assert main(["table", "hminus", "--zeta-range", "3..60", "--csv"]) == 0
     assert capsys.readouterr().out
     assert enumerated == []
-    # a compositum reads the characters, and so enumerates the groups
-    cyclotomic_field(5).compositum(cyclotomic_field(3))
+    # a compositum builds its characters when they are read, and so
+    # enumerates the factors' groups then
+    K = cyclotomic_field(5).compositum(cyclotomic_field(3))
+    assert enumerated == []
+    K.chars
     assert enumerated == [5, 3]
 
 
