@@ -14,7 +14,17 @@ remainder.  `_reduce` is the one loop that divides by Phi_e.
 For even e, zeta_e^(e/2) = -1, so Phi_e divides x^(e/2) + 1 and the work
 before a reduction mod Phi_e is done in the half ring Z[x]/(x^(e/2) + 1).
 
-The norm goes down the tower Q(zeta_n) > Q(zeta_(n/q)) > ... > Q one
+A level n with phi(n) <= 12 takes its norm by evaluation: with A the
+numerators padded to n coefficients, N = prod_k sigma_k(A)(2^W) mod
+M = Phi_n(2^W), k over (Z/nZ)*, read as the centred residue.  This holds
+because Phi_n divides prod_k A(x^k) - N in Z[x] and Phi_n(2^W) divides
+2^(W n) - 1, so sigma_k(A), an index permutation mod x^n - 1, may stand
+for A(x^k).  W is the least native width (whole bytes past 64 bits)
+with 2^(W-1) > 2 S + 1, S = sum |a|, so M > 2 S^phi(n) >= 2|N| and the
+residue is N; a modulus not above 2 S^phi(n) raises
+`InternalInconsistency`.
+
+A wider level goes down the tower Q(zeta_n) > Q(zeta_(n/q)) > ... > Q one
 prime-power block q of (Z/nZ)* at a time, the smallest group first, so
 the largest group's products run in the smallest ring.  Each step down
 is a Ramanujan-sum projection, checked twice: an exact division by
@@ -26,8 +36,8 @@ x = 2^k, modulo Phi_n(2^k).  All three checks raise
 `InternalInconsistency`.
 
 Products in the half ring are one big-int multiplication each (Kronecker
-substitution); digits of up to 8 bytes are packed and unpacked through
-`array` buffers, wider ones through bytes.
+substitution).  There and in the evaluation, digits of up to 8 bytes are
+packed (and unpacked) through `array` buffers, wider ones through bytes.
 
 `CycNumber` has no arithmetic.  The field arithmetic that checks the
 kernel (sums, products, lifts, cross-level equality) is a subclass in
@@ -44,6 +54,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .arith import Rational, divisors, euler_phi, factorize, mobius, unit_group
 from .errors import InternalInconsistency, NotCoprime
@@ -168,8 +179,86 @@ def galois_apply(k: int, x: CycNumber) -> CycNumber:
     return x.from_power_coeffs(e, acc, x.den)
 
 
+# The levels with phi(n) up to this take their norm by evaluation
+# (`_evaluated_norm`), the rest go down the tower (`_tower_norm`).  On the
+# B_(1,chi) of `table hminus --zeta-range 3..140` (2 cores, Python 3.11),
+# evaluation took 0.49-0.81x the tower's time at each phi from 2 to 12,
+# 1.05x at phi = 16 (no level has phi = 14) and 1.4-4.6x from phi = 24.
+_EVALUATE_MAX_PHI = 12
+
+
 def absolute_norm(x: CycNumber) -> Rational:
     """Product of all Galois conjugates of x; certified rational.
+
+    A level with phi(level) <= _EVALUATE_MAX_PHI evaluates every conjugate
+    at one point (`_evaluated_norm`); a wider one goes down the tower of
+    cyclotomic fields (`_tower_norm`).
+    """
+    if len(x.num) <= _EVALUATE_MAX_PHI:
+        return _evaluated_norm(x)
+    return _tower_norm(x)
+
+
+def _evaluated_norm(x: CycNumber) -> Rational:
+    """The norm of x as prod_k sigma_k(A)(2^W) mod M = Phi_n(2^W), with n =
+    x.level, k over (Z/nZ)* and A the numerators padded to n coefficients.
+
+    sigma_k(A) = A(x^k) mod x^n - 1 is the index map i -> k^-1 i mod n
+    (`_conjugate_maps`).  Phi_n divides prod_k A(x^k) - N in Z[x], N the
+    norm of the numerators, and Phi_n(2^W) divides 2^(W n) - 1, so N is
+    the centred residue of the product mod M.  With S = sum |a|, |N| <=
+    S^phi(n); W is the least native width (8, 16, 32 or 64 bits, whole
+    bytes past that) with 2^(W-1) > 2 S + 1, so M >= (2^W - 1)^phi(n)
+    leaves one candidate.  InternalInconsistency is raised unless
+    M > 2 S^phi(n).  Each sigma_k(A)(2^W) is one packing of the permuted
+    digits (`_pack`).
+    """
+    num, n = x.num, x.level
+    phi = len(num)
+    s = sum(map(abs, num))
+    width, code, half, offset, modulus, pad = _evaluation_point(
+        n, (2 * s + 1).bit_length())
+    if modulus <= 2 * s ** phi:
+        raise InternalInconsistency(
+            f"Phi_{n}(2^{8 * width}) does not exceed 2 * {s}^{phi}")
+    a = num + pad
+    r = 1
+    for conjugate in _conjugate_maps(n):
+        r = r * _pack(conjugate(a), code, width, half, offset) % modulus
+    return Fraction(r - modulus if 2 * r > modulus else r, x.den ** phi)
+
+
+@lru_cache(maxsize=None)
+def _conjugate_maps(n: int) -> tuple:
+    """One itemgetter per k in (Z/nZ)*, k = 1 first: it takes the n
+    coefficients of A to those of A(x^k) mod x^n - 1, coefficient j read
+    from k^-1 j mod n."""
+    maps = [itemgetter(slice(None))]
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            inv = pow(k, -1, n)
+            maps.append(itemgetter(*[inv * j % n for j in range(n)]))
+    return tuple(maps)
+
+
+@lru_cache(maxsize=None)
+def _evaluation_point(n: int, bits: int) -> tuple:
+    """(width, typecode, half, offset, Phi_n(2^W), pad) for the numerators
+    at level n whose 2 S + 1 has `bits` bits: W = 8 width is the least
+    native width with 2^(W-1) > 2 S + 1 (`_digit_width`), typecode, half
+    and offset are as `_pack` takes them, and pad is the n - phi(n) zeros
+    that take the numerators to n coefficients."""
+    width = _digit_width(bits)
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    phi = cyclotomic_polynomial(n)
+    modulus = _at_power_of_two(phi, 8 * width)
+    pad = (0,) * (n + 1 - len(phi))
+    return width, _TYPECODES.get(width), half, offset, modulus, pad
+
+
+def _tower_norm(x: CycNumber) -> Rational:
+    """The norm of x down the tower, for phi(x.level) > 1.
 
     Computed on the numerators in the half ring Z[x]/(x^h + 1), h = n/2,
     for the even level n = x.level.  An odd level n is first lifted to 2n
@@ -213,10 +302,8 @@ def _finish(poly: list[int], n: int, gens) -> int:
     and |N| = |U(zeta)| |sigma_g(U)(zeta)| <= h^2 max|U|^2, so k with
     (2^k - 1)^phi(n) > 2 h^2 max|U|^2 leaves one candidate.  So the widest
     product of the orbit becomes two evaluations and one multiply about h
-    times narrower.  Level 2 has no generator: P is an integer already.
+    times narrower.
     """
-    if not gens:  # level 2: the half ring Z[x]/(x + 1) is Z
-        return poly[0]
     *rest, (g, o) = gens
     fixers = [t for t, _ in rest] + [g * g % n]  # generators of H
     for t, ot in rest:
@@ -362,7 +449,35 @@ def _sigma(k: int, p: list[int]) -> list[int]:
 
 # the array typecode of each native digit width in bytes (1, 2, 4, 8)
 _TYPECODES = {array(t).itemsize: t for t in "bhilq"}
+# bytes 1..8 rounded up to the next native width
+_NATIVE = tuple(min(w for w in _TYPECODES if w >= b) for b in range(9))
 _SWAP = sys.byteorder == "big"
+
+
+def _digit_width(bits: int) -> int:
+    """The least bytes per digit, w, with 2^(8w-1) above every number of
+    `bits` bits, rounded up to a native width (1, 2, 4 or 8) when it is at
+    most 8."""
+    width = (bits + 8) // 8
+    return _NATIVE[width] if width <= 8 else width
+
+
+def _pack(v, code, width: int, half: int, offset: int) -> int:
+    """sum_i v[i] 2^(bits i), bits = 8 width, for signed digits |v[i]| <
+    half = 2^(bits-1); offset is half in every digit.
+
+    With a typecode (a native width), the digits move through an `array`
+    buffer as two's complement, and one XOR with the offset turns that
+    into offset form, v[i] + half; else they go through bytes one digit at
+    a time.
+    """
+    if code is None:
+        raw = b"".join((c + half).to_bytes(width, "little") for c in v)
+        return int.from_bytes(raw, "little") - offset
+    buf = array(code, v)
+    if _SWAP:
+        buf.byteswap()
+    return (int.from_bytes(buf.tobytes(), "little") ^ offset) - offset
 
 
 def _negacyclic_mul(a: list[int], b: list[int]) -> list[int]:
@@ -370,35 +485,19 @@ def _negacyclic_mul(a: list[int], b: list[int]) -> list[int]:
 
     Kronecker substitution: evaluate at x = 2^bits with bits so wide that
     every coefficient of the product, folded mod x^h + 1, is below
-    2^(bits-1) in absolute value, and read the digits back signed.
-
-    Digits of up to 8 bytes take the next native width and move through
-    `array` buffers as two's complement; one XOR with the offset integer
-    (2^(bits-1) in every digit) turns that into offset form, c + 2^(bits-1),
-    and back.  Wider digits go through bytes one digit at a time.
+    2^(bits-1) in absolute value, and read the digits back signed.  Both
+    ways go through `array` buffers for native widths and through bytes
+    for wider ones, as in `_pack`.
     """
     h = len(a)
     ma, mb = max(map(abs, a)), max(map(abs, b))
-    bound = max(h * ma * mb, ma, mb)  # the inputs are packed at this width too
-    width = (bound.bit_length() + 8) // 8  # bytes per digit
-    code = None
-    if width <= 8:
-        width = min(w for w in _TYPECODES if w >= width)
-        code = _TYPECODES[width]
+    # the inputs are packed at this width too
+    width = _digit_width(max(h * ma * mb, ma, mb).bit_length())
+    code = _TYPECODES.get(width)
     bits = 8 * width
     half = 1 << (bits - 1)
     offset = int.from_bytes(half.to_bytes(width, "little") * h, "little")
-
-    def pack(v):
-        if code is None:
-            raw = b"".join((c + half).to_bytes(width, "little") for c in v)
-            return int.from_bytes(raw, "little") - offset
-        buf = array(code, v)
-        if _SWAP:
-            buf.byteswap()
-        return (int.from_bytes(buf.tobytes(), "little") ^ offset) - offset
-
-    prod = pack(a) * pack(b)
+    prod = _pack(a, code, width, half, offset) * _pack(b, code, width, half, offset)
     # fold x^h = -1: the low h digits read as a signed number, minus the rest
     size = bits * h
     low = prod & ((1 << size) - 1)

@@ -45,24 +45,21 @@ def bernoulli_b1(chi: DirichletCharacter) -> CycNumber:
         raise EvenCharacter(chi.encode())
     f, exps = chi.primitive_key()
     n = chi.order
-    # (Z/fZ)* = <smaller generators> x <g>, g of the largest order o.  The
-    # smaller ones make a short prefix of residues u, each with its value
-    # exponent t (chi(u) = zeta_n^t); u g^k has exponent t + k s, periodic
-    # in k with period n / gcd(s, n), which divides o
-    ug = unit_group(f)
-    *small, (o, g, e) = sorted(zip(ug.orders, ug.generators, exps))
-    prefix = [(1, 0)]
-    for o_i, g_i, e_i in small:
-        step = e_i * n // o_i
-        prefix = [(u * x % f, (t + k * step) % n)
-                  for k, x in enumerate(_powers(g_i, o_i, f))
-                  for u, t in prefix]
-    s = e * n // o
+    layout = _UNIT_LAYOUT.get(f)
+    if layout is None:  # one entry: the conductor asked for last
+        _UNIT_LAYOUT.clear()
+        layout = _UNIT_LAYOUT[f] = _unit_layout(f)
+    small, last, o, rows = layout
+    # row u has value exponent t (chi(u) = zeta_n^t); u g^r has exponent
+    # t + r s, periodic in r with period n / gcd(s, n), which divides o
+    ts = [0]
+    for i, o_i in small:
+        step = exps[i] * n // o_i
+        ts = [(t + k * step) % n for k in range(o_i) for t in ts]
+    s = exps[last] * n // o
     period = n // gcd(s, n)
-    powers = _powers(g, o, f)
     acc = [0] * n
-    for u, t in prefix:
-        vals = [u * x % f for x in powers] if u != 1 else powers
+    for t, vals in zip(ts, rows):
         if period == o:  # one residue per exponent class
             for r, v in enumerate(vals):
                 acc[(t + r * s) % n] += v
@@ -70,11 +67,35 @@ def bernoulli_b1(chi: DirichletCharacter) -> CycNumber:
         for r in range(period):
             acc[(t + r * s) % n] += sum(vals[r::period])
     # a and f - a are both units, so the residues sum to f phi(f) / 2
-    if sum(acc) * 2 != f * len(prefix) * o:
+    if sum(acc) * 2 != f * len(rows) * o:
         raise InternalInconsistency(
             f"unit residues mod {f} sum to {sum(acc)}, "
-            f"not {f} * {len(prefix) * o} / 2")
+            f"not {f} * {len(rows) * o} / 2")
     return CycNumber.from_power_coeffs(n, acc, f)
+
+
+# conductor f -> `_unit_layout(f)`, for the last f that `bernoulli_b1` met
+_UNIT_LAYOUT: dict[int, tuple] = {}
+
+
+def _unit_layout(f: int) -> tuple:
+    """(small, last, o, rows) for (Z/fZ)* = <smaller generators> x <g>, g
+    the canonical generator of the largest order o (ties to the larger
+    generator).  small lists (i, o_i) for the other generators, by
+    (order, generator), with i the generator's place in `unit_group(f)`,
+    and last is g's place.  rows has one list per unit u = prod g_i^(k_i)
+    of the smaller generators, ordered by the logs (k_i) with the last
+    one slowest: the list u g^r mod f, r < o.  So the rows cover (Z/fZ)*
+    once."""
+    ug = unit_group(f)
+    *small, (o, g, last) = sorted(zip(ug.orders, ug.generators,
+                                      range(len(ug.orders))))
+    prefix = [1]
+    for o_i, g_i, _ in small:
+        prefix = [u * x % f for x in _powers(g_i, o_i, f) for u in prefix]
+    powers = _powers(g, o, f)
+    rows = [[u * x % f for x in powers] if u != 1 else powers for u in prefix]
+    return [(i, o_i) for o_i, _, i in small], last, o, rows
 
 
 def _powers(g: int, o: int, f: int) -> list[int]:

@@ -114,6 +114,7 @@ def test_bernoulli_certifies_the_residue_sum(monkeypatch):
                                   + ug.orders[1:], ug.blocks)
 
     monkeypatch.setattr(hminus, "unit_group", short)
+    monkeypatch.setattr(hminus, "_UNIT_LAYOUT", {})
     with pytest.raises(InternalInconsistency):
         bernoulli_b1(DirichletCharacter(7, [1]))
 
@@ -290,6 +291,7 @@ def test_warm_and_cleared_memo_agree():
     for K, report in zip(fields, warm):
         hminus._ORBIT_FACTORS.clear()
         hminus._CONDUCTOR_FACTORS.clear()
+        hminus._UNIT_LAYOUT.clear()
         assert minus_class_number(K) == report
 
 
